@@ -3,8 +3,8 @@
 GO ?= go
 # Benchmarks recorded in the machine-readable trajectory. FullCampaign
 # runs the complete 79 629-test study once; drop it (make bench-json
-# BENCH='Fig4Campaign|TableIII$$|ShapeDedup') for a quicker refresh.
-BENCH ?= Fig4Campaign|TableIII$$|FullCampaign|ShapeDedup|AnalysisCache|Plan$$
+# BENCH='Fig4Campaign|TableIII$$|Reference') for a quicker refresh.
+BENCH ?= Fig4Campaign|TableIII$$|FullCampaign|Reference|Plan$$
 # bench-check tolerance: fail when FullCampaign tests/s drops by more
 # than this fraction vs the committed BENCH_campaign.json.
 BENCH_TOLERANCE ?= 0.10
@@ -45,4 +45,4 @@ bench-check:
 
 # bench-smoke is the CI guard: every campaign benchmark must still run.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Fig4Campaign|ShapeDedup|AnalysisCache' -benchtime 1x -count 1 .
+	$(GO) test -run '^$$' -bench 'Fig4Campaign|Reference' -benchtime 1x -count 1 .

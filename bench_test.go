@@ -1,7 +1,7 @@
 package wsinterop
 
 // Benchmark harness: one benchmark per paper artifact (DESIGN.md §5)
-// plus the ablation benches of DESIGN.md §6 and per-stage
+// plus the optimized-vs-reference bench of DESIGN.md §6 and per-stage
 // micro-benchmarks.
 //
 // The experiment benches (E1–E3) run the campaign at a reduced scale
@@ -63,41 +63,22 @@ func BenchmarkFig4Campaign(b *testing.B) {
 	reportTestsPerSec(b, tests)
 }
 
-// BenchmarkAnalysisCache is the shared-analysis ablation (DESIGN.md
-// §6.4): the scaled campaign with each published document parsed and
-// analyzed once per service (cached) vs once per client test
-// (reparse) — the two paths TestReparseEquivalence proves identical.
-func BenchmarkAnalysisCache(b *testing.B) {
+// BenchmarkReference measures the optimized campaign (shape memo plus
+// one shared analysis per document, DESIGN.md §6) against the paper's
+// literal pipeline (Config.Reference, the -reference CLI path) at
+// benchmark scale — the two paths TestPlanEquivalenceFull proves
+// identical. The optimized run also reports the corpus's compression
+// as classes per structural shape.
+func BenchmarkReference(b *testing.B) {
 	for _, mode := range []struct {
-		name    string
-		reparse bool
-	}{{"cached", false}, {"reparse", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			tests := 0
-			for i := 0; i < b.N; i++ {
-				res := runCampaign(b, campaign.Config{Limit: benchLimit, Reparse: mode.reparse})
-				tests += res.TotalTests
-			}
-			reportTestsPerSec(b, tests)
-		})
-	}
-}
-
-// BenchmarkShapeDedup is the structural-shape memo ablation (DESIGN.md
-// §6.6): the scaled campaign with the memo on (default) vs off
-// (Config.NoDedup, the -dedup=false CLI ablation) — the two paths
-// TestDedupEquivalenceFull proves identical. The dedup run also
-// reports the corpus's compression as classes per structural shape.
-func BenchmarkShapeDedup(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		nodedup bool
-	}{{"dedup", false}, {"nodedup", true}} {
+		name      string
+		reference bool
+	}{{"optimized", false}, {"reference", true}} {
 		b.Run(mode.name, func(b *testing.B) {
 			tests := 0
 			var stats campaign.DedupStats
 			for i := 0; i < b.N; i++ {
-				res := runCampaign(b, campaign.Config{Limit: benchLimit, NoDedup: mode.nodedup})
+				res := runCampaign(b, campaign.Config{Limit: benchLimit, Reference: mode.reference})
 				tests += res.TotalTests
 				stats = *res.Dedup
 			}

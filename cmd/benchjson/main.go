@@ -27,7 +27,7 @@ import (
 // Benchmark is one benchmark result line.
 type Benchmark struct {
 	// Name is the benchmark name with the -cpu suffix stripped
-	// (BenchmarkShapeDedup/dedup-8 → ShapeDedup/dedup).
+	// (BenchmarkReference/optimized-8 → Reference/optimized).
 	Name string `json:"name"`
 	// Iterations is b.N for the recorded run.
 	Iterations int64 `json:"iterations"`

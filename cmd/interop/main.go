@@ -5,7 +5,7 @@
 //
 //	interop [-report fig4|chart|table3|findings|deploy|failures|dedup|profiles|maturity|compare|comm|robust|versions|plan|metrics|json|markdown|all]
 //	        [-limit N] [-workers N] [-server NAME] [-client NAME] [-wsi-profile NAME]
-//	        [-faults] [-versions] [-reparse] [-dedup=false] [-plan=false] [-plan-cache DIR]
+//	        [-faults] [-versions] [-reference] [-plan-cache DIR]
 //	        [-cpuprofile FILE] [-metrics-json FILE] [-debug ADDR]
 //	        [-checkpoint DIR] [-resume]
 //	        [-shard I/N] [-merge DIR,DIR,...] [-serve ADDR]
@@ -27,10 +27,11 @@
 //
 // Planning: the campaign executes shape-first from a precomputed plan
 // (DESIGN.md §12); -plan-cache DIR persists built plans keyed by the
-// campaign configuration so repeated runs skip the catalog walk,
-// -report plan prints the plan without running anything, and
-// -plan=false selects the lazy class-first path (the planner
-// ablation).
+// campaign configuration so repeated runs skip the catalog walk, and
+// -report plan prints the plan without running anything. -reference
+// runs the paper's literal pipeline instead — every class published
+// individually, every client re-parsing the WSDL bytes — through the
+// same executor; its output is identical, only slower.
 //
 // Distribution: -shard I/N runs one deterministic slice of the
 // campaign — N worker processes, each with its own -checkpoint DIR,
@@ -116,12 +117,8 @@ func run(args []string, out io.Writer) error {
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	serverName := fs.String("server", "", "restrict to one server framework (substring match)")
 	clientName := fs.String("client", "", "restrict to one client framework (substring match)")
-	reparse := fs.Bool("reparse", false,
-		"re-parse the WSDL bytes in every client test instead of sharing one analysis per service (the cache ablation)")
-	dedup := fs.Bool("dedup", true,
-		"memoize publish/WS-I/client-test work per structural shape; -dedup=false runs every class individually (the shape-memo ablation)")
-	plan := fs.Bool("plan", true,
-		"build the shape-first execution plan up front; -plan=false runs the lazy class-first path (the planner ablation)")
+	reference := fs.Bool("reference", false,
+		"run the paper's literal pipeline: publish every class individually and re-parse the WSDL bytes in every client test (the oracle the default optimized path is proven equal to)")
 	planCache := fs.String("plan-cache", "",
 		"cache built execution plans in this directory, keyed by the campaign configuration, so repeated runs skip the catalog walk")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -206,14 +203,8 @@ func run(args []string, out io.Writer) error {
 		}
 		opts = append(opts, campaign.WithChecker(wsi.NewChecker(wsi.WithProfile(p))))
 	}
-	if *reparse {
-		opts = append(opts, campaign.WithReparse())
-	}
-	if !*dedup {
-		opts = append(opts, campaign.WithoutDedup())
-	}
-	if !*plan {
-		opts = append(opts, campaign.WithoutPlan())
+	if *reference {
+		opts = append(opts, campaign.WithReference())
 	}
 	if *planCache != "" {
 		opts = append(opts, campaign.WithPlanCache(*planCache))

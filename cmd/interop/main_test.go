@@ -159,16 +159,16 @@ func TestRunServerClientFilters(t *testing.T) {
 }
 
 func TestRunReparseMatchesCached(t *testing.T) {
-	var cached, reparsed bytes.Buffer
+	var cached, reference bytes.Buffer
 	if err := run([]string{"-limit", "80", "-report", "findings"}, &cached); err != nil {
-		t.Fatalf("cached run: %v", err)
+		t.Fatalf("optimized run: %v", err)
 	}
-	if err := run([]string{"-limit", "80", "-report", "findings", "-reparse"}, &reparsed); err != nil {
-		t.Fatalf("reparse run: %v", err)
+	if err := run([]string{"-limit", "80", "-report", "findings", "-reference"}, &reference); err != nil {
+		t.Fatalf("reference run: %v", err)
 	}
-	if cached.String() != reparsed.String() {
-		t.Errorf("reparse ablation changed the findings:\n--- cached ---\n%s--- reparse ---\n%s",
-			cached.String(), reparsed.String())
+	if cached.String() != reference.String() {
+		t.Errorf("the reference path changed the findings:\n--- optimized ---\n%s--- reference ---\n%s",
+			cached.String(), reference.String())
 	}
 }
 

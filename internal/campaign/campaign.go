@@ -283,7 +283,7 @@ type Result struct {
 
 	// Dedup reports the structural-shape memo layer's statistics for
 	// this run: Enabled=false (all other fields zero) when
-	// Config.NoDedup was set. It is bookkeeping, not campaign outcome —
+	// Config.Reference was set. It is bookkeeping, not campaign outcome —
 	// the equivalence tests exclude it when comparing Results.
 	Dedup *DedupStats
 
@@ -320,35 +320,17 @@ type Config struct {
 	// KeepFailures retains per-test detail for every errored test in
 	// Result.Failures (the Table III footnote data).
 	KeepFailures bool
-	// Reparse forces the byte-level client path: every client re-parses
-	// the serialized WSDL per test, exactly as the real tools do (the
-	// DESIGN.md §6.3 ablation). When false — the default — each
-	// published document is parsed and analyzed once and the immutable
-	// analysis is shared across all clients, which produces an
-	// identical Result (see TestReparseEquivalence) at a fraction of
-	// the cost.
-	Reparse bool
-	// NoDedup disables the structural-shape memo layer (DESIGN.md
-	// §6.6): every class then publishes, marshals, WS-I checks, and
-	// client-tests individually, exactly as the real study would. When
-	// false — the default — the runner content-addresses classes by
-	// shape fingerprint and performs that work once per (server, shape),
-	// rehydrating per-class output by name substitution. The Result is
-	// identical either way (see TestDedupEquivalenceFull); Result.Dedup
-	// reports the layer's statistics.
-	NoDedup bool
-	// NoPlan disables shape-first planned execution (plan.go, DESIGN.md
-	// §12): the runner then discovers shapes lazily per class through the
-	// mutex-guarded memo table, exactly as before the planner existed —
-	// the planning ablation. When false — the default — the runner builds
-	// an immutable execution plan up front (one catalog pass grouping
-	// classes by shape per server) and the execution phase is lock-free:
-	// workers own whole shape groups and clone fan-out is a columnar
-	// broadcast of the representative's outcome codes. The Result is
-	// identical either way (TestPlanEquivalenceFull). NoPlan is
-	// deliberately outside the checkpoint fingerprint: either mode may
-	// resume the other's journal.
-	NoPlan bool
+	// Reference runs the paper's literal pipeline: every class is
+	// published, marshaled and WS-I checked individually, and every
+	// client re-parses the serialized WSDL bytes per test, exactly as the
+	// real tools do. It executes through the same planned executor as the
+	// default, on an all-loose plan with no shape memo and no shared
+	// document analysis. When false — the default — the runner performs
+	// that work once per (server, shape) and shares one parsed analysis
+	// per document across clients (DESIGN.md §6). The Result is identical
+	// either way (TestPlanEquivalenceFull); Reference is the oracle the
+	// equivalence suites compare the optimized path against.
+	Reference bool
 	// PlanCache, when non-empty, persists built execution plans to this
 	// directory, content-addressed by the campaign configuration
 	// fingerprint. Later runs with the same configuration — repeated
@@ -440,8 +422,7 @@ type Runner struct {
 	// is set (checkpoint.go); nil otherwise.
 	ckpt *checkpointState
 	// plan is the immutable execution plan, built or cache-loaded once
-	// per runner (plan.go); nil until ensurePlan, and never set when
-	// Config.NoPlan is on.
+	// per runner (plan.go); nil until ensurePlan.
 	planOnce sync.Once
 	plan     *campaignPlan
 	planErr  error
@@ -501,38 +482,30 @@ func (r *Runner) catalog(lang typesys.Language) *typesys.Catalog {
 }
 
 // Publish runs the service description generation step for one server
-// framework over its catalog, returning the published services and
-// the created-service count.
+// framework of the runner's roster over its catalog, returning the
+// published services in catalog order and the created-service count.
+// It walks the server's execution plan exactly as Run does — each
+// shape group on one worker, builder first, loose classes direct — so
+// it shares Run's memo entries and counter contributions, and every
+// returned service carries its own document.
 func (r *Runner) Publish(ctx context.Context, server framework.ServerFramework) ([]PublishedService, int, error) {
-	defs, err := r.defsFor(server)
+	sp, err := r.planFor(server)
 	if err != nil {
 		return nil, 0, err
 	}
-
+	defs := sp.defs
+	entries := r.resolveEntries(server, sp)
 	slots := make([]publishSlot, len(defs))
-
-	workers := r.workers()
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				slots[i] = r.publishOne(ctx, server, defs[i], true)
-			}
-		}()
-	}
-feed:
-	for i := range defs {
-		select {
-		case <-ctx.Done():
-			break feed
-		case ch <- i:
+	dispatch(ctx, r.workers(), len(sp.Groups)+len(sp.Loose), func(_, it int) {
+		if it >= len(sp.Groups) {
+			di := sp.Loose[it-len(sp.Groups)]
+			slots[di] = r.publishLoose(server, defs[di])
+			return
 		}
-	}
-	close(ch)
-	wg.Wait()
+		for _, di := range sp.Groups[it].Members {
+			slots[di] = r.publishEntry(entries[it], server, defs[di], true)
+		}
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
@@ -547,6 +520,34 @@ feed:
 		}
 	}
 	return published, len(defs), nil
+}
+
+// dispatch feeds items 0..items-1 to a pool of workers, calling
+// work(w, it) on worker w. Cancellation stops the feed but drains: an
+// item already received runs to completion before its worker exits —
+// for Run, the folded-and-journaled resumable boundary.
+func dispatch(ctx context.Context, workers, items int, work func(w, it int)) {
+	ch := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for it := range ch {
+				work(w, it)
+			}
+		}(w)
+	}
+feed:
+	for it := 0; it < items; it++ {
+		select {
+		case <-ctx.Done():
+			break feed
+		case ch <- it:
+		}
+	}
+	close(ch)
+	wg.Wait()
 }
 
 // publishSlot is the outcome of the description step for one service
@@ -619,6 +620,22 @@ func (r *Runner) profileMask(ids []string) uint64 {
 	return mask
 }
 
+// publishLoose runs the description step for one class outside the
+// shape memo: a class failing the shape.Memoizable guard (the fallback
+// route) or, on the reference path, every class (the direct route).
+func (r *Runner) publishLoose(server framework.ServerFramework, def services.Definition) publishSlot {
+	r.met.publishTotal.Inc()
+	mode := modeDirect
+	if r.dedupOn() {
+		r.dedup.fallbacks.Add(1)
+		r.met.publishFallback.Inc()
+		mode = modeFallback
+	}
+	s := r.publishDirect(server, def)
+	s.mode = mode
+	return s
+}
+
 // publishDirect runs the description step for one definition without
 // the shape memo — the per-class path every memoized outcome is
 // verified against.
@@ -661,7 +678,7 @@ func (r *Runner) workers() int {
 
 // RunTest executes steps 2–3 for one published service against one
 // client framework, sharing the service's memoized document analysis
-// when the runner attached one (Config.Reparse selects the byte-level
+// when the runner attached one (Config.Reference selects the byte-level
 // path instead).
 func RunTest(client framework.ClientFramework, svc PublishedService) TestResult {
 	return RunTestContext(context.Background(), client, svc)
@@ -699,7 +716,7 @@ func runTest(_ context.Context, client framework.ClientFramework, svc *Published
 // generationFor runs the artifact generation step through the shared
 // analysis when available. A document the shared parse rejects falls
 // back to the byte path, so each client reports the parse failure in
-// its own voice — identical to Reparse mode.
+// its own voice — identical to the reference path.
 func generationFor(client framework.ClientFramework, svc *PublishedService, reparse bool) framework.GenerationResult {
 	if !reparse {
 		if a, err := svc.Analysis(); err == nil {
@@ -709,14 +726,12 @@ func generationFor(client framework.ClientFramework, svc *PublishedService, repa
 	return client.Generate(svc.Doc)
 }
 
-// Run executes the full campaign. Each server stage is a streaming
-// pipeline: publish workers feed published services directly into the
-// test worker pool — description generation overlaps artifact
-// generation and compilation — and every test worker folds classified
-// outcomes into a private Result shard as services complete. A
-// deterministic per-server merge then re-establishes the aggregate, so
-// the Result is identical to a sequential run regardless of worker
-// count or scheduling.
+// Run executes the full campaign. Each server stage walks the
+// execution plan shape-first (plan.go): workers own whole shape groups
+// or loose classes, publish and test them, and fold classified
+// outcomes into a private Result shard. A deterministic per-server
+// merge then re-establishes the aggregate, so the Result is identical
+// to a sequential run regardless of worker count or scheduling.
 //
 // With Config.Checkpoint set the run is durable: completed cells are
 // journaled as they finish, cancellation drains in-flight work and
@@ -765,7 +780,7 @@ func (r *Runner) runCampaign(ctx context.Context) (*Result, error) {
 		res.Dedup.WSIChecks = int(r.met.wsiChecks.Value() - wsiBefore)
 		res.Dedup.WSIMemoized = int(r.met.wsiMemoized.Value() - memoBefore)
 	} else {
-		// The nodedup ablation reports the zero value, matching the
+		// The reference path reports the zero value, matching the
 		// "memoization disabled" rendering.
 		res.Dedup = &DedupStats{}
 	}
@@ -813,33 +828,20 @@ func newResult(r *Runner) *Result {
 	return res
 }
 
-// svcState tracks one published service through the streaming test
-// stage: a result slot per client plus the count of outstanding
-// client tests. Each worker writes only its own slot; the worker
-// completing the last test observes the counter hit zero (which
-// orders it after every slot write) and folds the whole service into
-// its shard, so per-service classification happens exactly once with
-// all client results visible.
+// svcState is one published service's row through the planned
+// executor: the service, its columnar outcome codes, and its publish
+// route, folded by the worker that owns it.
 type svcState struct {
 	svc PublishedService
 	// codes is the columnar outcome row: one packed outcomeCode per
 	// client slot (columnar.go), including the executed bit the cell
 	// journal persists so resume reconstructs memo state and counters
-	// exactly. Written under the same last-test ordering the remaining
-	// counter establishes.
+	// exactly.
 	codes []outcomeCode
 	// mode and verified record the service's publish route for the
 	// journal (checkpoint.go).
-	mode      recordMode
-	verified  bool
-	remaining atomic.Int32
-}
-
-// testJob is one (published service × client) test in the stream.
-type testJob struct {
-	st     *svcState
-	svcIdx int
-	cli    int
+	mode     recordMode
+	verified bool
 }
 
 // shard is one test worker's private partial Result for the current
@@ -1032,157 +1034,6 @@ func (r *Runner) defsFor(server framework.ServerFramework) ([]services.Definitio
 		defs = slice
 	}
 	return defs, nil
-}
-
-// runServer executes one server's full stage and merges the outcome
-// into res: shape-first planned execution by default (plan.go), the
-// lazy streaming pipeline under the Config.NoPlan ablation.
-func (r *Runner) runServer(ctx context.Context, server framework.ServerFramework, res *Result) error {
-	sp, err := r.planFor(server)
-	if err != nil {
-		return err
-	}
-	if sp != nil {
-		return r.runServerPlanned(ctx, server, res, sp)
-	}
-	defs, err := r.defsFor(server)
-	if err != nil {
-		return fmt.Errorf("publish on %s: %w", server.Name(), err)
-	}
-	return r.runServerLazy(ctx, server, res, defs)
-}
-
-// runServerLazy executes one server's stage as the class-first
-// streaming pipeline: publish workers feed published services into the
-// test pool and shapes are discovered lazily through the memo table.
-// Retained as the planning ablation (Config.NoPlan); the planned path
-// must stay byte-identical to it.
-func (r *Runner) runServerLazy(ctx context.Context, server framework.ServerFramework, res *Result, defs []services.Definition) error {
-	workers := r.workers()
-	pubErrs := make([]error, len(defs))
-	var failures [][]TestResult
-	if r.cfg.KeepFailures {
-		failures = make([][]TestResult, len(defs))
-	}
-	prog := newProgress(r.cfg.Progress, server.Name(), len(defs))
-	defer prog.close()
-
-	// Resume: re-seed the shape memo table from the journal, then
-	// replay every journaled cell into a dedicated shard before the
-	// streaming pool starts. The executed remainder then takes exactly
-	// the paths the interrupted run would have taken.
-	replay := r.replayPlan(server, defs)
-	var replayShard *shard
-	if replay != nil {
-		if err := r.seedMemoFromJournal(server, defs, replay); err != nil {
-			return err
-		}
-		var err error
-		replayShard, err = r.replayStage(server, replay, failures, prog)
-		if err != nil {
-			return err
-		}
-	}
-
-	shards := make([]*shard, workers)
-	pubCh := make(chan int)
-	testCh := make(chan testJob, workers*len(r.clients))
-	r.met.workers.Set(int64(workers))
-	stageStart := r.met.now()
-
-	var pubWG, testWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		sh := newShard(len(r.clients), len(r.profiles))
-		shards[w] = sh
-		testWG.Add(1)
-		go func() {
-			defer testWG.Done()
-			// Cancellation drains rather than abandons: testCh is read to
-			// exhaustion so every service whose tests were enqueued
-			// completes, folds, and is journaled — the resumable boundary.
-			for j := range testCh {
-				r.met.queueDepth.Add(-1)
-				j.st.codes[j.cli] = r.testFor(ctx, &j.st.svc, j.cli)
-				if j.st.remaining.Add(-1) == 0 {
-					fails := r.foldService(j.st, sh)
-					if failures != nil {
-						failures[j.svcIdx] = fails
-					}
-					r.journalService(j.st)
-					prog.serviceDone()
-				}
-			}
-		}()
-	}
-	for w := 0; w < workers; w++ {
-		pubWG.Add(1)
-		go func() {
-			defer pubWG.Done()
-			for i := range pubCh {
-				slot := r.publishOne(ctx, server, defs[i], false)
-				switch {
-				case slot.err != nil:
-					pubErrs[i] = slot.err
-					prog.serviceDone()
-				case !slot.ok:
-					// Not deployable: resolved with no client tests.
-					r.journalRejected(server, defs[i], slot)
-					prog.serviceDone()
-				default:
-					st := &svcState{
-						svc:      slot.svc,
-						mode:     slot.mode,
-						verified: slot.verified,
-						codes:    make([]outcomeCode, len(r.clients)),
-					}
-					st.remaining.Store(int32(len(r.clients)))
-					// Feed the tests straight into the streaming pool;
-					// test workers drain testCh until it closes, so this
-					// send cannot deadlock.
-					for ci := range r.clients {
-						r.met.queueDepth.Add(1)
-						testCh <- testJob{st: st, svcIdx: i, cli: ci}
-					}
-				}
-			}
-		}()
-	}
-
-feed:
-	for i := range defs {
-		if _, replayed := replay[i]; replayed {
-			continue
-		}
-		select {
-		case <-ctx.Done():
-			break feed
-		case pubCh <- i:
-		}
-	}
-	close(pubCh)
-	pubWG.Wait()
-	close(testCh)
-	testWG.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	for _, perr := range pubErrs {
-		if perr != nil {
-			return fmt.Errorf("publish on %s: %w", server.Name(), perr)
-		}
-	}
-	if replayShard != nil {
-		shards = append(shards, replayShard)
-	}
-	r.mergeServer(res, server.Name(), len(defs), shards, failures)
-	r.obs.Emit(obs.Event{
-		Trace:        obs.TraceID(server.Name()),
-		Stage:        "server-stage",
-		Server:       server.Name(),
-		Detail:       fmt.Sprintf("%d services", len(defs)),
-		ElapsedNanos: int64(r.met.since(stageStart)),
-	})
-	return nil
 }
 
 // foldService classifies one fully tested service into a shard — the

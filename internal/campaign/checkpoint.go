@@ -39,13 +39,13 @@ import (
 )
 
 // recordMode is the publish route a cell took, mirroring the branches
-// of publishOne. Replay dispatches on it to re-apply the route's exact
-// counter contributions.
+// of publishLoose and publishEntry. Replay dispatches on it to
+// re-apply the route's exact counter contributions.
 type recordMode uint8
 
 const (
 	modeUnknown      recordMode = iota
-	modeDirect                  // memo layer off (Config.NoDedup)
+	modeDirect                  // memo layer off (Config.Reference)
 	modeFallback                // class failed the shape.Memoizable guard
 	modeBuilt                   // first-seen class of its shape: full per-class path
 	modeMemoRejected            // memoized NotDeployable outcome
@@ -106,13 +106,17 @@ type checkpointState struct {
 // checkpointFingerprint content-addresses everything that shapes the
 // cell set and its outcomes. Workers and KeepFailures are deliberately
 // excluded: a journal written at one worker count resumes at any
-// other, which the equivalence tests exercise.
+// other, which the equivalence tests exercise. The reference path
+// keeps the two parts the former -reparse and -dedup=false switches
+// wrote, so journals and plan caches of the default and of the
+// literal configuration stay valid (TestFingerprintsPinned).
 func (r *Runner) checkpointFingerprint() string {
+	ref := strconv.FormatBool(r.cfg.Reference)
 	parts := []string{
 		"wsinterop-campaign-v1",
 		"limit=" + strconv.Itoa(r.cfg.Limit),
-		"reparse=" + strconv.FormatBool(r.cfg.Reparse),
-		"nodedup=" + strconv.FormatBool(r.cfg.NoDedup),
+		"reparse=" + ref,
+		"nodedup=" + ref,
 		"variant=" + strconv.Itoa(int(r.cfg.Variant)),
 		"style=" + string(r.cfg.Style),
 		"custom-catalog=" + strconv.FormatBool(r.cfg.CatalogFor != nil),
@@ -178,7 +182,8 @@ func (r *Runner) openCheckpoint() error {
 	meta := journal.Meta{Fingerprint: r.checkpointFingerprint(), Shard: shard}
 	if p := r.plan; p != nil {
 		// Provenance only — journal.Open does not compare it on resume,
-		// so planned and lazy sessions may finish each other's journals.
+		// so a session may finish a journal written under a cached,
+		// shared or freshly built plan alike.
 		meta.Plan = &journal.PlanMeta{Fingerprint: p.fingerprint, Classes: p.classes, Shapes: p.shapes}
 	}
 	j, err := journal.Open(r.cfg.Checkpoint, meta, r.cfg.Resume)

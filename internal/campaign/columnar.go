@@ -2,8 +2,8 @@ package campaign
 
 import "wsinterop/internal/journal"
 
-// Columnar shard results (DESIGN.md §10). The streaming test stage
-// used to accumulate one full TestResult struct per (service ×
+// Columnar shard results (DESIGN.md §10). The test stage used to
+// accumulate one full TestResult struct per (service ×
 // client) cell — three interned-elsewhere strings and two outcome
 // structs of which the classification fold reads only five booleans.
 // At 79 629 cells that struct traffic dominated shard memory. Each

@@ -199,7 +199,7 @@ func (r *Runner) runCommunicationServer(ctx context.Context, server framework.Se
 				trace := obs.TraceID(server.Name(), svc.Class, cli.Name())
 				start := r.met.now()
 				outcomes[idx] = communicate(obs.WithTrace(ctx, trace), bridge, cli, svc,
-					endpoints[svc.Class], r.cfg.Reparse)
+					endpoints[svc.Class], r.cfg.Reference)
 				r.met.observe(r.met.commSeconds, start)
 				r.met.commCells.Inc()
 				r.obs.Emit(obs.Event{
@@ -239,7 +239,7 @@ feed:
 }
 
 // deployPublished deploys every invocable service once, reusing the
-// shared document analysis for the endpoint derivation (Config.Reparse
+// shared document analysis for the endpoint derivation (Config.Reference
 // restores the per-deploy wsdl.Unmarshal the pre-cache runner did).
 // Zero-operation documents are rejected by the runtime exactly as
 // FromWSDL defines. A path collision between two services is resolved
@@ -251,7 +251,7 @@ func (r *Runner) deployPublished(host *transport.Host,
 	collisions := 0
 	for i := range published {
 		var doc *wsdl.Definitions
-		if r.cfg.Reparse {
+		if r.cfg.Reference {
 			d, err := wsdl.Unmarshal(published[i].Doc)
 			if err != nil {
 				return nil, 0, fmt.Errorf("reparse %s: %w", published[i].Class, err)
@@ -309,7 +309,7 @@ func buildEchoRequest(ep *transport.Endpoint, op, class string) (*soap.Message, 
 }
 
 // invocable runs steps 2–3 for one combination through the shared
-// analysis (Config.Reparse selects the byte path, matching the static
+// analysis (Config.Reference selects the byte path, matching the static
 // campaign) and returns the operation to invoke. ok is false for
 // blocked combinations; an empty op marks the silent no-operation
 // stubs.

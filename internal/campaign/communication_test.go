@@ -88,22 +88,23 @@ func TestCommOutcomeString(t *testing.T) {
 	}
 }
 
-// TestCommunicationReparseEquivalence checks that routing the
-// communication extension through the shared WSDL analysis cache
-// (the default) and re-parsing the published bytes per step
-// (Config.Reparse, the ablation) classify every combination the same.
+// TestCommunicationReparseEquivalence checks that the optimized
+// communication extension — shape-memoized publishing and the shared
+// WSDL analysis — and the reference path (Config.Reference: per-class
+// publishing, re-parsing the published bytes per step) classify every
+// combination the same.
 func TestCommunicationReparseEquivalence(t *testing.T) {
-	run := func(reparse bool) *CommResult {
-		res, err := NewRunner(Config{Limit: 100, Workers: 4, Reparse: reparse}).RunCommunication(context.Background())
+	run := func(reference bool) *CommResult {
+		res, err := NewRunner(Config{Limit: 100, Workers: 4, Reference: reference}).RunCommunication(context.Background())
 		if err != nil {
-			t.Fatalf("run (reparse=%v): %v", reparse, err)
+			t.Fatalf("run (reference=%v): %v", reference, err)
 		}
 		return res
 	}
-	cached, reparsed := run(false), run(true)
-	if !reflect.DeepEqual(cached, reparsed) {
-		t.Errorf("outcomes differ between shared-analysis and reparse modes:\ncached:   %+v\nreparsed: %+v",
-			cached.Totals(), reparsed.Totals())
+	optimized, reference := run(false), run(true)
+	if !reflect.DeepEqual(optimized, reference) {
+		t.Errorf("outcomes differ between the optimized and reference paths:\noptimized: %+v\nreference: %+v",
+			optimized.Totals(), reference.Totals())
 	}
 }
 

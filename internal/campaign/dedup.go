@@ -29,13 +29,14 @@ import (
 // byte-for-byte. A shape that fails verification (or a class whose
 // names fail the shape.Memoizable guard) silently takes the per-class
 // path, so enabling the memo can never change a Result — the property
-// TestDedupEquivalenceFull proves at full scale.
+// TestPlanEquivalenceFull proves against the reference path at full
+// scale.
 
 // DedupStats summarizes the shape memo layer's effect on one
 // campaign run (Result.Dedup).
 type DedupStats struct {
 	// Enabled reports whether the memo layer was active
-	// (Config.NoDedup unset).
+	// (Config.Reference unset).
 	Enabled bool
 	// Shapes is the number of distinct (server, fingerprint) memo
 	// entries built — the structural diversity of the corpus.
@@ -71,8 +72,8 @@ type shapeKey struct {
 
 // shapeEntry memoizes everything the campaign derives from one
 // structural shape on one server. The entry is built exactly once,
-// from the shape's first-seen class; test slots fill lazily as the
-// streaming pool first reaches each client.
+// from the shape group's builder; test slots fill as the builder's
+// client tests run.
 type shapeEntry struct {
 	once sync.Once
 	// rejected records a memoized NotDeployable outcome.
@@ -85,9 +86,7 @@ type shapeEntry struct {
 	// solo marks a shape the execution plan proved single-member: no
 	// clone will ever render from the template, so buildShape skips
 	// constructing and verifying it (about 91% of shapes at full
-	// scale). Only the planned executor sets it — the lazy path cannot
-	// know a shape's future population, which is exactly the
-	// information advantage the plan buys.
+	// scale). A later publish of the only member is served from rep.
 	solo               bool
 	flagged, compliant bool
 	// profiles is the shape's per-profile verdict mask (bit i set =
@@ -96,7 +95,7 @@ type shapeEntry struct {
 	// every registered profile's name-sensitive assertion set is covered
 	// by the chunk predicates — so clones inherit it verbatim.
 	profiles uint64
-	// rep is the shape's representative: the first-seen class, whose
+	// rep is the shape's representative: the group's builder, whose
 	// outputs were produced on the per-class path and verified against
 	// the template. Memoized tests always run against rep (its analysis
 	// cell is seeded once per shape), so same-shape clones never parse
@@ -159,61 +158,25 @@ func (d *dedupState) statsSince(before dedupCounters) *DedupStats {
 	}
 }
 
-// dedupOn reports whether the shape memo layer is active.
-func (r *Runner) dedupOn() bool { return !r.cfg.NoDedup }
+// dedupOn reports whether the shape memo layer is active: everywhere
+// but the reference path.
+func (r *Runner) dedupOn() bool { return !r.cfg.Reference }
 
-// shapeFor returns (creating if needed) the memo entry for the
-// definition's shape on the given server.
-func (r *Runner) shapeFor(server framework.ServerFramework, def services.Definition) *shapeEntry {
-	key := shapeKey{server: server.Name(), fp: shape.Of(def)}
-	d := r.dedup
-	d.mu.Lock()
-	e := d.entries[key]
-	if e == nil {
-		e = &shapeEntry{tests: make([]testMemo, len(r.clients))}
-		d.entries[key] = e
-	}
-	d.mu.Unlock()
-	return e
-}
-
-// publishOne runs the description step for one service definition,
-// through the shape memo when it applies. The returned slot carries
-// the route taken (recordMode) so the cell journal can replay the
-// exact same counter contributions on resume; ctx is threaded from the
-// publish workers for parity with the transport APIs (in-process
-// publishing runs to completion — the drain contract).
+// publishEntry runs the description step for one memoizable
+// definition through its shape memo entry (resolved in bulk by
+// resolveEntries). The returned slot carries the route taken
+// (recordMode) so the cell journal can replay the exact same counter
+// contributions on resume.
 //
 // needDoc controls whether a memo-served clone materializes its
 // rendered document. Inside Run nothing ever reads a clone's bytes —
 // tests run against the shape representative and only builder records
-// journal a document — so the streaming pipeline passes false and
-// skips the render entirely; the public Publish API passes true. Every
-// other route (direct, fallback, builder) always carries its document.
-func (r *Runner) publishOne(_ context.Context, server framework.ServerFramework, def services.Definition, needDoc bool) (s publishSlot) {
-	r.met.publishTotal.Inc()
-	if !r.dedupOn() {
-		s = r.publishDirect(server, def)
-		s.mode = modeDirect
-		return s
-	}
-	if !shape.Memoizable(def) {
-		r.dedup.fallbacks.Add(1)
-		r.met.publishFallback.Inc()
-		s = r.publishDirect(server, def)
-		s.mode = modeFallback
-		return s
-	}
-	r.dedup.pubTotal.Add(1)
-	return r.publishEntry(r.shapeFor(server, def), server, def, needDoc)
-}
-
-// publishEntry routes one memoizable definition through its shape memo
-// entry — publishOne's body once the entry is resolved. The planned
-// executor (plan.go) calls it directly with entries resolved in bulk,
-// so the hot path shares every memo branch (and every counter
-// contribution) with the lazy path.
+// journal a document — so Run passes false and skips the render
+// entirely; the public Publish API passes true. Every other route
+// (fallback, builder) always carries its document.
 func (r *Runner) publishEntry(e *shapeEntry, server framework.ServerFramework, def services.Definition, needDoc bool) (s publishSlot) {
+	r.met.publishTotal.Inc()
+	r.dedup.pubTotal.Add(1)
 	built := false
 	e.once.Do(func() {
 		built = true
@@ -240,6 +203,17 @@ func (r *Runner) publishEntry(e *shapeEntry, server framework.ServerFramework, d
 		r.dedup.pubHits.Add(1)
 		r.met.publishMemoized.Inc()
 		s.err = fmt.Errorf("marshal WSDL for %s on %s: %w", def.Parameter.Name, server.Name(), e.err)
+		return s
+	case e.solo && def.Parameter.Name == e.rep.Class:
+		// A solo shape builds no template, but its only member is the
+		// builder itself: serve the builder's output again — the publish
+		// after Run that communication, robustness and versions make.
+		r.dedup.pubHits.Add(1)
+		r.met.publishMemoized.Inc()
+		r.met.wsiMemoized.Inc()
+		s.ok = true
+		s.mode = modeMemoized
+		s.svc = e.rep
 		return s
 	case e.tmpl == nil:
 		// The shape failed template verification: per-class path.
@@ -292,10 +266,10 @@ func (r *Runner) publishEntry(e *shapeEntry, server framework.ServerFramework, d
 	return s
 }
 
-// buildShape computes the memo entry from the shape's first-seen
-// class. The class's own outputs are produced exactly as on the
-// per-class path; the split template is admitted only after it
-// reproduces those outputs byte-for-byte.
+// buildShape computes the memo entry from the shape group's builder.
+// The class's own outputs are produced exactly as on the per-class
+// path; the split template is admitted only after it reproduces those
+// outputs byte-for-byte.
 func (r *Runner) buildShape(e *shapeEntry, server framework.ServerFramework, def services.Definition) (s publishSlot) {
 	start := r.met.now()
 	doc, err := server.Publish(def)
@@ -337,7 +311,7 @@ func (r *Runner) buildShape(e *shapeEntry, server framework.ServerFramework, def
 		// its serialized form just passed byte-for-byte verification,
 		// so the serialize→re-parse round trip of the per-class path is
 		// skipped — equivalence is proven at full scale by
-		// TestDedupEquivalenceFull.
+		// TestPlanEquivalenceFull.
 		s.svc.memo = e
 		s.svc.analysis.once.Do(func() { s.svc.analysis.a = framework.AnalyzeDoc(doc) })
 		e.rep = s.svc
@@ -370,16 +344,16 @@ func (r *Runner) splitShape(server framework.ServerFramework, def services.Defin
 // testFor runs steps 2–3 for one (service × client) test, serving it
 // from the shape memo when the service carries a verified entry, and
 // returns the packed outcome code for the service's columnar row. The
-// memoized outcome is computed by whichever same-shape service
-// reaches the client first; because the columnar form carries no
-// name-derived strings, a clone IS the memoized code with the
-// executed bit cleared — the distinction the cell journal persists so
+// memoized outcome is computed by the first same-shape service to
+// reach the client (the group's builder); because the columnar form
+// carries no name-derived strings, a clone IS the memoized code with
+// the executed bit cleared — the distinction the cell journal persists so
 // resume can re-seed memo slots without double-running tests.
 func (r *Runner) testFor(ctx context.Context, svc *PublishedService, ci int) outcomeCode {
 	r.met.testTotal.Inc()
 	e := svc.memo
 	if e == nil {
-		res := runTest(ctx, r.clients[ci], svc, r.cfg.Reparse, r.met)
+		res := runTest(ctx, r.clients[ci], svc, r.cfg.Reference, r.met)
 		return encodeOutcome(&res, true)
 	}
 	r.dedup.testTotal.Add(1)
@@ -388,7 +362,7 @@ func (r *Runner) testFor(ctx context.Context, svc *PublishedService, ci int) out
 	tm.once.Do(func() {
 		ran = true
 		r.dedup.testRuns.Add(1)
-		res := runTest(ctx, r.clients[ci], &e.rep, r.cfg.Reparse, r.met)
+		res := runTest(ctx, r.clients[ci], &e.rep, r.cfg.Reference, r.met)
 		tm.code = encodeOutcome(&res, true)
 	})
 	if !ran {

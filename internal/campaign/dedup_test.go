@@ -5,102 +5,45 @@ import (
 	"context"
 	"testing"
 
+	"wsinterop/internal/framework"
 	"wsinterop/internal/shape"
 	"wsinterop/internal/wsdl"
 )
 
 // These tests enforce the structural-shape memo contract (DESIGN.md
-// §6.6): a campaign that content-addresses classes by shape and
-// performs publish/WS-I/client-test work once per (server, shape) must
-// produce a Result identical — every headline statistic, the full
-// Table III matrix, and the failure index — to one that processes
-// every class individually (Config.NoDedup, the ablation).
+// §6.6) at the level of individual layers: published bytes, worker
+// stability, template substitution, and the wire-level extensions. The
+// whole-campaign Result equivalence against the reference path
+// (Config.Reference) is the matrix in equivalence_test.go.
 
-// runDedupPair executes the same campaign twice, memoized and
-// per-class (with different worker counts, so scheduling differences
-// are covered too), and fails on any divergence.
-func runDedupPair(t *testing.T, dedup, nodedup Config) {
-	t.Helper()
-	nodedup.NoDedup = true
-	a, err := NewRunner(dedup).Run(context.Background())
+// TestDedupEquivalenceScaled runs the optimized and the reference path
+// at different worker counts, so scheduling differences are covered
+// too, and checks the memo layer's own statistics on each side.
+func TestDedupEquivalenceScaled(t *testing.T) {
+	a, err := NewRunner(Config{Limit: 200, Workers: 4, KeepFailures: true}).Run(context.Background())
 	if err != nil {
-		t.Fatalf("dedup run: %v", err)
+		t.Fatalf("optimized run: %v", err)
 	}
-	b, err := NewRunner(nodedup).Run(context.Background())
+	b, err := NewRunner(Config{Limit: 200, Workers: 2, KeepFailures: true, Reference: true}).Run(context.Background())
 	if err != nil {
-		t.Fatalf("nodedup run: %v", err)
+		t.Fatalf("reference run: %v", err)
 	}
 	compareResults(t, a, b)
 	if !a.Dedup.Enabled {
-		t.Error("dedup run should report Dedup.Enabled")
+		t.Error("optimized run should report Dedup.Enabled")
 	}
 	if b.Dedup.Enabled || *b.Dedup != (DedupStats{}) {
-		t.Errorf("nodedup run should report zero stats, got %+v", *b.Dedup)
+		t.Errorf("reference run should report zero stats, got %+v", *b.Dedup)
 	}
 	if a.Dedup.Shapes == 0 || a.Dedup.PublishMemoized == 0 || a.Dedup.TestMemoized == 0 {
 		t.Errorf("memo layer did not engage: %+v", *a.Dedup)
 	}
 }
 
-func TestDedupEquivalenceScaled(t *testing.T) {
-	runDedupPair(t,
-		Config{Limit: 200, Workers: 4, KeepFailures: true},
-		Config{Limit: 200, Workers: 2, KeepFailures: true})
-}
-
-// TestDedupEquivalenceReparse covers the ablation cross-product: the
-// memo must also be invisible when clients re-parse bytes per test.
-func TestDedupEquivalenceReparse(t *testing.T) {
-	runDedupPair(t,
-		Config{Limit: 150, Workers: 4, KeepFailures: true, Reparse: true},
-		Config{Limit: 150, Workers: 2, KeepFailures: true, Reparse: true})
-}
-
-func TestDedupEquivalenceFull(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-scale equivalence skipped in -short mode")
-	}
-	a, err := NewRunner(Config{KeepFailures: true}).Run(context.Background())
-	if err != nil {
-		t.Fatalf("dedup run: %v", err)
-	}
-	b, err := NewRunner(Config{KeepFailures: true, NoDedup: true}).Run(context.Background())
-	if err != nil {
-		t.Fatalf("nodedup run: %v", err)
-	}
-	compareResults(t, a, b)
-
-	// The paper's full-scale invariants must hold on both paths.
-	for _, res := range []*Result{a, b} {
-		if res.TotalServices != 22024 {
-			t.Errorf("services created = %d, want 22024", res.TotalServices)
-		}
-		if res.TotalPublished != 7239 {
-			t.Errorf("published = %d, want 7239", res.TotalPublished)
-		}
-		if res.TotalTests != 79629 {
-			t.Errorf("tests = %d, want 79629", res.TotalTests)
-		}
-		if res.InteropErrors != 1588 {
-			t.Errorf("interop errors = %d, want 1588", res.InteropErrors)
-		}
-		if res.SameFrameworkErrors != 307 {
-			t.Errorf("same-framework errors = %d, want 307", res.SameFrameworkErrors)
-		}
-	}
-	// At full scale the corpus must compress hard and no shape may
-	// fail its byte-for-byte template verification.
-	if a.Dedup.Fallbacks != 0 {
-		t.Errorf("template verification fallbacks = %d, want 0", a.Dedup.Fallbacks)
-	}
-	if a.Dedup.Shapes == 0 || a.Dedup.Shapes >= a.Dedup.PublishTotal/2 {
-		t.Errorf("poor shape compression: %d shapes for %d publishes", a.Dedup.Shapes, a.Dedup.PublishTotal)
-	}
-}
-
 // TestDedupPublishBytes proves the byte-level half of the contract at
 // full catalog scale: every published document, flag, and compliance
-// verdict from the memoized path is identical to the per-class path.
+// verdict from the memoized path is identical to the reference path's
+// per-class publish.
 func TestDedupPublishBytes(t *testing.T) {
 	limit := 0
 	if testing.Short() {
@@ -108,7 +51,7 @@ func TestDedupPublishBytes(t *testing.T) {
 	}
 	ctx := context.Background()
 	dedup := NewRunner(Config{Limit: limit, Workers: 4})
-	direct := NewRunner(Config{Limit: limit, Workers: 4, NoDedup: true})
+	direct := NewRunner(Config{Limit: limit, Workers: 4, Reference: true})
 	for i, server := range dedup.servers {
 		a, createdA, err := dedup.Publish(ctx, server)
 		if err != nil {
@@ -229,26 +172,72 @@ func TestShapeTemplateSubstitution(t *testing.T) {
 // TestDedupCommunicationEquivalence asserts the memo layer is
 // invisible to the communication extension, whose endpoint derivation
 // is name-dependent (per-class paths must not collide just because
-// classes share a shape).
+// classes share a shape) — including on a runner whose memo table a
+// preceding Run filled, as `interop -report all` does.
 func TestDedupCommunicationEquivalence(t *testing.T) {
-	run := func(cfg Config) *CommResult {
+	run := func(r *Runner) *CommResult {
 		t.Helper()
-		res, err := NewRunner(cfg).RunCommunication(context.Background())
+		res, err := r.RunCommunication(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a := run(Config{Limit: 120, Workers: 4})
-	b := run(Config{Limit: 120, Workers: 4, NoDedup: true})
-	for _, server := range a.ServerOrder {
-		if *a.Servers[server] != *b.Servers[server] {
-			t.Errorf("comm %s: dedup %+v != nodedup %+v", server, *a.Servers[server], *b.Servers[server])
+	ref := run(NewRunner(Config{Limit: 120, Workers: 4, Reference: true}))
+	afterRun := NewRunner(Config{Limit: 120, Workers: 4})
+	if _, err := afterRun.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for label, got := range map[string]*CommResult{
+		"optimized":           run(NewRunner(Config{Limit: 120, Workers: 4})),
+		"optimized after Run": run(afterRun),
+	} {
+		for _, server := range ref.ServerOrder {
+			if *got.Servers[server] != *ref.Servers[server] {
+				t.Errorf("%s comm %s: %+v != reference %+v", label, server, *got.Servers[server], *ref.Servers[server])
+			}
+		}
+		for _, client := range ref.ClientOrder {
+			if *got.Clients[client] != *ref.Clients[client] {
+				t.Errorf("%s comm client %s: %+v != reference %+v", label, client, *got.Clients[client], *ref.Clients[client])
+			}
 		}
 	}
-	for _, client := range a.ClientOrder {
-		if *a.Clients[client] != *b.Clients[client] {
-			t.Errorf("comm client %s: dedup %+v != nodedup %+v", client, *a.Clients[client], *b.Clients[client])
+}
+
+// TestPublishAfterRunNoFallbacks: Publish on a runner that already ran
+// the campaign must serve every shape from the memo the run built —
+// including single-member (solo) shapes, which build no template — and
+// return exactly what a fresh runner's Publish returns.
+func TestPublishAfterRunNoFallbacks(t *testing.T) {
+	ctx := context.Background()
+	opts := []Option{WithLimit(300), WithServers(framework.NewMetroServer())}
+	r := New(opts...)
+	if _, err := r.Run(ctx); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	fallbacks := r.Obs().Counter("campaign.publish.fallbacks")
+	before := fallbacks.Value()
+	got, _, err := r.Publish(ctx, r.servers[0])
+	if err != nil {
+		t.Fatalf("publish after run: %v", err)
+	}
+	if d := fallbacks.Value() - before; d != 0 {
+		t.Errorf("publish after run added %d fallbacks, want 0", d)
+	}
+	fresh := New(opts...)
+	want, _, err := fresh.Publish(ctx, fresh.servers[0])
+	if err != nil {
+		t.Fatalf("fresh publish: %v", err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("published %d services after run, %d fresh", len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Class != w.Class || !bytes.Equal(g.Doc, w.Doc) || g.Flagged != w.Flagged ||
+			g.Compliant != w.Compliant || g.Profiles != w.Profiles {
+			t.Errorf("service %d (%s) differs from a fresh publish", i, w.Class)
 		}
 	}
 }

@@ -133,7 +133,7 @@ func (r *Runner) Merge(ctx context.Context, dirs []string) (*Result, error) {
 		return nil, err
 	}
 	// Replay-only checkpoint state: every cell is in loaded, so the
-	// streaming pool executes nothing and the journal writer side (j,
+	// executor runs nothing and the journal writer side (j,
 	// ch) stays nil — append is nil-channel-safe and closeCheckpoint is
 	// never involved because runCampaign is entered directly.
 	r.ckpt = &checkpointState{
@@ -214,7 +214,7 @@ type shardMember struct {
 // single-process run would have journaled: one builder per (server,
 // shape), every other member demoted to its memo-served mode, and
 // exactly one executed test set per (shape, client). A no-op for the
-// nodedup ablation, whose journals contain only per-class records that
+// reference path, whose journals contain only per-class records that
 // are already shard-invariant.
 func (r *Runner) normalizeShards(loaded map[string]journal.Record) error {
 	if !r.dedupOn() {
@@ -352,7 +352,7 @@ func equalProfiles(a, b []string) bool {
 }
 
 // substitutionSafe reports whether the class's name-derived strings
-// pass the WS-I chunk predicates — the publishOne condition for
+// pass the WS-I chunk predicates — the publishEntry condition for
 // serving a clone from the shape template (DESIGN.md §10).
 func substitutionSafe(def services.Definition) bool {
 	vars := shape.VarsArray(def)

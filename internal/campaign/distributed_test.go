@@ -239,12 +239,12 @@ func TestDistributedEquivalenceFull(t *testing.T) {
 }
 
 // TestDistributedNoDedupAblation: sharded execution composes with the
-// shape-memo ablation — per-class journals merge without any
-// cross-shard normalization.
+// reference path — per-class journals merge without any cross-shard
+// normalization.
 func TestDistributedNoDedupAblation(t *testing.T) {
 	const limit = 60
 	cleanCfg := resumeConfig(limit, 4)
-	cleanCfg.NoDedup = true
+	cleanCfg.Reference = true
 	clean, err := NewRunner(cleanCfg).Run(context.Background())
 	if err != nil {
 		t.Fatalf("single-process run: %v", err)
@@ -254,7 +254,7 @@ func TestDistributedNoDedupAblation(t *testing.T) {
 	for i := range dirs {
 		dirs[i] = filepath.Join(base, fmt.Sprintf("shard%d", i))
 		cfg := resumeConfig(limit, 4)
-		cfg.NoDedup = true
+		cfg.Reference = true
 		cfg.Shard = ShardSpec{Index: i, Count: 2}
 		cfg.Checkpoint = dirs[i]
 		if _, err := NewRunner(cfg).Run(context.Background()); err != nil {
@@ -262,14 +262,14 @@ func TestDistributedNoDedupAblation(t *testing.T) {
 		}
 	}
 	mcfg := resumeConfig(limit, 4)
-	mcfg.NoDedup = true
+	mcfg.Reference = true
 	res, err := NewRunner(mcfg).Merge(context.Background(), dirs)
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
 	compareResults(t, clean, res)
 	if got, want := resultBytes(t, res), resultBytes(t, clean); string(got) != string(want) {
-		t.Error("merged nodedup Result is not byte-identical to the single-process run")
+		t.Error("merged reference Result is not byte-identical to the single-process run")
 	}
 }
 

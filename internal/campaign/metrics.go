@@ -48,9 +48,9 @@ type runnerMetrics struct {
 	testMemoized     *obs.Counter // tests served by cloning a memoized outcome
 	commCells        *obs.Counter // communication cells exchanged
 
-	// Plan bookkeeping (plan.go) — deliberately namespaced under
-	// campaign.plan. so the planned-vs-lazy equivalence tests can strip
-	// them: the lazy ablation never builds a plan.
+	// Plan bookkeeping (plan.go), namespaced under campaign.plan.: how
+	// the plan was resolved (built, cache hit or miss, shared), not what
+	// the campaign did.
 	planBuilds        *obs.Counter // plans built from a catalog walk
 	planCacheHits     *obs.Counter // plans loaded from the on-disk cache
 	planCacheMisses   *obs.Counter // cache lookups with no file
@@ -71,8 +71,7 @@ type runnerMetrics struct {
 	versionMishandled *obs.Counter
 
 	// Live gauges — outside the determinism contract.
-	queueDepth *obs.Gauge // outstanding jobs in the streaming test pool
-	workers    *obs.Gauge // configured worker count
+	workers *obs.Gauge // configured worker count
 }
 
 // newRunnerMetrics resolves every instrument once.
@@ -121,7 +120,6 @@ func newRunnerMetrics(reg *obs.Registry) *runnerMetrics {
 		versionAccepted:    reg.Counter("campaign.versions.accepted"),
 		versionRejected:    reg.Counter("campaign.versions.typed_reject"),
 		versionMishandled:  reg.Counter("campaign.versions.silent_mishandle"),
-		queueDepth:         reg.Gauge("campaign.queue.depth"),
 		workers:            reg.Gauge("campaign.workers"),
 	}
 }

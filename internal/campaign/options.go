@@ -1,13 +1,10 @@
 package campaign
 
 // This file is the package's stable construction surface (DESIGN.md
-// §9.4): context-first package-level entry points plus a functional-
-// option constructor. The Config struct remains exported for
-// compatibility, but new knobs are added here first.
+// §9.4): a functional-option constructor. The Config struct remains
+// exported for compatibility, but new knobs are added here first.
 
 import (
-	"context"
-
 	"wsinterop/internal/framework"
 	"wsinterop/internal/obs"
 	"wsinterop/internal/services"
@@ -15,22 +12,6 @@ import (
 	"wsinterop/internal/wsdl"
 	"wsinterop/internal/wsi"
 )
-
-// Run executes a full campaign with the given configuration on a
-// background context — the package-level convenience entry point.
-// Use RunContext to make the run cancellable.
-func Run(cfg Config) (*Result, error) {
-	return RunContext(context.Background(), cfg)
-}
-
-// RunContext executes a full campaign under ctx. Cancellation is
-// cooperative: in-flight services drain to completion (and, with
-// Config.Checkpoint set, are journaled) before the run returns
-// ctx.Err(), so a cancelled checkpointed run always leaves resumable
-// state.
-func RunContext(ctx context.Context, cfg Config) (*Result, error) {
-	return NewRunner(cfg).Run(ctx)
-}
 
 // Option configures a campaign Runner built by New.
 type Option func(*Config)
@@ -83,17 +64,22 @@ func WithKeepFailures() Option {
 	return func(cfg *Config) { cfg.KeepFailures = true }
 }
 
-// WithReparse forces the byte-level client path — the shared-analysis
-// cache ablation (DESIGN.md §6.3).
-func WithReparse() Option {
-	return func(cfg *Config) { cfg.Reparse = true }
+// WithReference runs the paper's literal pipeline — no shape memo, and
+// every client re-parsing the WSDL bytes — the oracle the optimized
+// path is proven equal to (Config.Reference).
+func WithReference() Option {
+	return func(cfg *Config) { cfg.Reference = true }
 }
 
-// WithoutDedup disables the structural-shape memo layer — the
-// memoization ablation (DESIGN.md §6.6).
-func WithoutDedup() Option {
-	return func(cfg *Config) { cfg.NoDedup = true }
-}
+// WithReparse selects the reference path.
+//
+// Deprecated: use WithReference.
+func WithReparse() Option { return WithReference() }
+
+// WithoutDedup selects the reference path.
+//
+// Deprecated: use WithReference.
+func WithoutDedup() Option { return WithReference() }
 
 // WithVariant selects the service interface complexity.
 func WithVariant(v services.Variant) Option {
@@ -145,13 +131,6 @@ func WithShard(index, count int) Option {
 // configuration is refused at Run.
 func WithShardSpec(spec ShardSpec) Option {
 	return func(cfg *Config) { cfg.Shard = spec }
-}
-
-// WithoutPlan disables shape-first planned execution — the planner
-// ablation (DESIGN.md §12). The campaign runs on the lazy class-first
-// path, discovering shapes during execution.
-func WithoutPlan() Option {
-	return func(cfg *Config) { cfg.NoPlan = true }
 }
 
 // WithPlanCache persists built execution plans to dir, keyed by the

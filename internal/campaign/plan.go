@@ -1,18 +1,16 @@
 package campaign
 
-// Shape-first planned execution (DESIGN.md §12). The lazy memo layer
-// (dedup.go) discovers shapes while executing: every worker hashes its
-// class, takes the table mutex, and races a sync.Once for the builder
-// role. That discovery is pure bookkeeping — the shape partition of a
-// catalog is a deterministic function of the campaign configuration —
-// so the planner computes it once, up front, into an immutable Plan:
+// Shape-first planned execution (DESIGN.md §12). The shape partition
+// of a catalog is a deterministic function of the campaign
+// configuration, so the planner computes it once, up front, into an
+// immutable Plan:
 // per server, the catalog's definition indexes grouped by shape
 // fingerprint, each group's builder designated (the first member in
 // catalog order), and the members whose names fail the substitution-
 // safety predicates marked for the per-class path.
 //
-// Execution then inverts from class-first to shape-first: workers own
-// whole groups, so the table mutex is taken exactly once per stage
+// Execution is shape-first: workers own whole groups, so the memo
+// table mutex is taken exactly once per stage
 // (resolveEntries), no sync.Once races ever occur, and once a group's
 // representative outcomes exist the remaining safe clones are a pure
 // columnar broadcast — one multiplied fold of the representative's
@@ -20,11 +18,12 @@ package campaign
 // of bumped per class.
 //
 // The plan is bookkeeping, never authority: builders still publish,
-// byte-verify their templates, and execute real client tests exactly
-// as on the lazy path (publishEntry/testFor are shared code), so the
-// §6.6 guarantee — memoization can never change a Result — carries
-// over unchanged. TestPlanEquivalenceFull proves byte-identical
-// Results against the Config.NoPlan ablation at full scale.
+// byte-verify their templates, and execute real client tests, so the
+// §6.6 guarantee — memoization can never change a Result — holds. The
+// reference path (Config.Reference) runs through this same executor on
+// an all-loose plan: every class direct, every client re-parsing the
+// WSDL bytes. TestPlanEquivalenceFull proves the optimized path's
+// Results identical to the reference's at full scale.
 //
 // Because the partition is configuration-addressed, it can also be
 // persisted: Config.PlanCache stores each built plan in a JSON file
@@ -92,7 +91,7 @@ func (g *planGroup) finish() {
 // serverPlan is one server's stage plan: a partition of the catalog's
 // definition indexes into shape groups plus the loose remainder —
 // classes the memo layer cannot serve (shape.Memoizable failures, or
-// every class under the NoDedup ablation).
+// every class on the reference path).
 type serverPlan struct {
 	Server string      `json:"server"`
 	Defs   int         `json:"defs"`
@@ -144,23 +143,19 @@ func (p *Plan) Fingerprint() string {
 
 // ExecutionPlan resolves the runner's plan (building or cache-loading
 // it if it has not been resolved yet) and returns a shareable handle.
-// It errors under the NoPlan ablation.
 func (r *Runner) ExecutionPlan() (*Plan, error) {
 	p, err := r.ensurePlan()
 	if err != nil {
 		return nil, err
 	}
-	if p == nil {
-		return nil, fmt.Errorf("campaign: no execution plan under NoPlan")
-	}
 	return &Plan{p: p}, nil
 }
 
 // PlanFingerprint returns the fingerprint the runner's plan resolves
-// to, or "" when the configuration cannot share plans (NoPlan, or a
-// custom CatalogFor — whose catalogs the fingerprint cannot address).
+// to, or "" when the configuration cannot share plans (a custom
+// CatalogFor, whose catalogs the fingerprint cannot address).
 func (r *Runner) PlanFingerprint() string {
-	if !r.planOn() || r.cfg.CatalogFor != nil {
+	if r.cfg.CatalogFor != nil {
 		return ""
 	}
 	return r.planFingerprint()
@@ -174,9 +169,6 @@ func (r *Runner) AdoptPlan(p *Plan) error {
 	if p == nil || p.p == nil {
 		return fmt.Errorf("campaign: cannot adopt a nil plan")
 	}
-	if !r.planOn() {
-		return fmt.Errorf("campaign: cannot adopt a plan under NoPlan")
-	}
 	if r.cfg.CatalogFor != nil {
 		return fmt.Errorf("campaign: custom catalogs cannot share plans")
 	}
@@ -187,12 +179,9 @@ func (r *Runner) AdoptPlan(p *Plan) error {
 	return nil
 }
 
-// planOn reports whether planned execution is active.
-func (r *Runner) planOn() bool { return !r.cfg.NoPlan }
-
 // planFingerprint content-addresses everything the plan depends on:
 // the campaign configuration fingerprint (roster, limit, variant,
-// style, ablations) plus the shard slice, which changes defsFor's
+// style, reference path) plus the shard slice, which changes defsFor's
 // output. Workers are excluded — a plan is execution-shape, not
 // schedule.
 func (r *Runner) planFingerprint() string {
@@ -201,19 +190,16 @@ func (r *Runner) planFingerprint() string {
 
 // ensurePlan resolves the runner's execution plan exactly once:
 // loaded from the plan cache when possible, built from the catalog
-// otherwise. Returns (nil, nil) under the NoPlan ablation.
+// otherwise.
 func (r *Runner) ensurePlan() (*campaignPlan, error) {
-	if !r.planOn() {
-		return nil, nil
-	}
 	r.planOnce.Do(func() { r.plan, r.planErr = r.buildOrLoadPlan() })
 	return r.plan, r.planErr
 }
 
-// planFor returns one server's stage plan (nil under NoPlan).
+// planFor returns one server's stage plan.
 func (r *Runner) planFor(server framework.ServerFramework) (*serverPlan, error) {
 	p, err := r.ensurePlan()
-	if err != nil || p == nil {
+	if err != nil {
 		return nil, err
 	}
 	sp := p.servers[server.Name()]
@@ -306,7 +292,7 @@ type classTraits struct {
 func (r *Runner) buildServerPlan(server string, defs []services.Definition) *serverPlan {
 	sp := &serverPlan{Server: server, Defs: len(defs), defs: defs}
 	if !r.dedupOn() {
-		// NoDedup: every class is loose; the executor routes them direct.
+		// Reference: every class is loose; the executor routes them direct.
 		sp.Loose = make([]int, len(defs))
 		for i := range sp.Loose {
 			sp.Loose[i] = i
@@ -571,9 +557,9 @@ func (r *Runner) bindServerPlan(sp *serverPlan, defs []services.Definition) erro
 // pass under the table lock — the only mutex acquisition of a planned
 // stage. The entries live in the runner-wide table, so a planned
 // stage's built shapes are reused by later Publish calls, the
-// communication/robustness extensions, and repeated Runs exactly as a
-// lazy stage's would be, and a resumed stage finds the entries
-// seedMemoFromJournal already registered.
+// communication/robustness/versions extensions, and repeated Runs, and
+// a resumed stage finds the entries seedMemoFromJournal already
+// registered.
 func (r *Runner) resolveEntries(server framework.ServerFramework, sp *serverPlan) []*shapeEntry {
 	if len(sp.Groups) == 0 {
 		return nil
@@ -599,12 +585,16 @@ func (r *Runner) resolveEntries(server framework.ServerFramework, sp *serverPlan
 	return entries
 }
 
-// runServerPlanned executes one server's stage shape-first: workers
-// own whole plan items (a shape group, or one loose class), so no two
-// workers ever touch the same memo entry and the execution phase takes
-// no locks. Group outcomes fold into per-worker columnar shards that
-// tree-merge at the end, exactly like the lazy pipeline's.
-func (r *Runner) runServerPlanned(ctx context.Context, server framework.ServerFramework, res *Result, sp *serverPlan) error {
+// runServer executes one server's stage shape-first and merges the
+// outcome into res: workers own whole plan items (a shape group, or
+// one loose class), so no two workers ever touch the same memo entry
+// and the execution phase takes no locks. Outcomes fold into
+// per-worker columnar shards that tree-merge at the end.
+func (r *Runner) runServer(ctx context.Context, server framework.ServerFramework, res *Result) error {
+	sp, err := r.planFor(server)
+	if err != nil {
+		return err
+	}
 	defs := sp.defs
 	workers := r.workers()
 	var failures [][]TestResult
@@ -614,13 +604,16 @@ func (r *Runner) runServerPlanned(ctx context.Context, server framework.ServerFr
 	prog := newProgress(r.cfg.Progress, server.Name(), len(defs))
 	defer prog.close()
 
+	// Resume: re-seed the shape memo table from the journal, then replay
+	// every journaled cell into a dedicated shard before execution
+	// starts. The executed remainder then takes exactly the paths the
+	// interrupted run would have taken.
 	replay := r.replayPlan(server, defs)
 	var replayShard *shard
 	if replay != nil {
 		if err := r.seedMemoFromJournal(server, defs, replay); err != nil {
 			return err
 		}
-		var err error
 		replayShard, err = r.replayStage(server, replay, failures, prog)
 		if err != nil {
 			return err
@@ -630,43 +623,22 @@ func (r *Runner) runServerPlanned(ctx context.Context, server framework.ServerFr
 
 	r.met.workers.Set(int64(workers))
 	stageStart := r.met.now()
-	items := len(sp.Groups) + len(sp.Loose)
-	ch := make(chan int)
 	shards := make([]*shard, workers)
+	for w := range shards {
+		shards[w] = newShard(len(r.clients), len(r.profiles))
+	}
 	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		sh := newShard(len(r.clients), len(r.profiles))
-		shards[w] = sh
-		wg.Add(1)
-		go func(w int, sh *shard) {
-			defer wg.Done()
-			// Like the lazy pool, cancellation drains: an item already
-			// received executes to completion (folded and journaled — the
-			// resumable boundary) before the worker exits.
-			for it := range ch {
-				var err error
-				if it < len(sp.Groups) {
-					err = r.runPlannedGroup(ctx, server, defs, &sp.Groups[it], entries[it], replay, sh, failures, prog)
-				} else if di := sp.Loose[it-len(sp.Groups)]; replay[di].Trace == "" {
-					err = r.runPlannedLoose(ctx, server, defs[di], di, sh, failures, prog)
-				}
-				if err != nil && errs[w] == nil {
-					errs[w] = err
-				}
-			}
-		}(w, sh)
-	}
-feed:
-	for it := 0; it < items; it++ {
-		select {
-		case <-ctx.Done():
-			break feed
-		case ch <- it:
+	dispatch(ctx, workers, len(sp.Groups)+len(sp.Loose), func(w, it int) {
+		var err error
+		if it < len(sp.Groups) {
+			err = r.runPlannedGroup(ctx, server, defs, &sp.Groups[it], entries[it], replay, shards[w], failures, prog)
+		} else if di := sp.Loose[it-len(sp.Groups)]; replay[di].Trace == "" {
+			_, err = r.runService(ctx, server, defs[di], di, r.publishLoose(server, defs[di]), shards[w], failures, prog)
 		}
-	}
-	close(ch)
-	wg.Wait()
+		if err != nil && errs[w] == nil {
+			errs[w] = err
+		}
+	})
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -690,19 +662,16 @@ feed:
 }
 
 // runPlannedGroup executes one shape group on its single owning
-// worker. Members run individually — through the exact lazy-path memo
-// code (publishEntry/testFor) — until the entry's test slots are all
+// worker. Members run individually — through the memo code
+// (publishEntry/testFor) — until the entry's test slots are all
 // filled; every later safe member is then served by the clone
 // broadcast: one multiplied fold of the representative's outcome row,
 // with the memo-hit counters batched per group. Unsafe members always
 // take the individual path, as do all members of unverified shapes
-// (publishEntry degrades them to per-class fallbacks, identical to
-// lazy).
+// (publishEntry degrades them to per-class fallbacks).
 func (r *Runner) runPlannedGroup(ctx context.Context, server framework.ServerFramework, defs []services.Definition,
 	g *planGroup, e *shapeEntry, replay map[int]journal.Record,
 	sh *shard, failures [][]TestResult, prog *progress) error {
-	d, m := r.dedup, r.met
-	nc := len(r.clients)
 	// slotsFilled means every test slot of e is known-filled, so a safe
 	// clone's row is e's codes with the executed bit cleared. It becomes
 	// true after any member runs testFor across the full roster while
@@ -719,40 +688,12 @@ func (r *Runner) runPlannedGroup(ctx context.Context, server framework.ServerFra
 			clones = append(clones, di)
 			continue
 		}
-		def := defs[di]
-		m.publishTotal.Inc()
-		d.pubTotal.Add(1)
-		slot := r.publishEntry(e, server, def, false)
-		switch {
-		case slot.err != nil:
-			if firstErr == nil {
-				firstErr = slot.err
-			}
-			prog.serviceDone()
-			continue
-		case !slot.ok:
-			r.journalRejected(server, def, slot)
-			prog.serviceDone()
-			continue
+		slot := r.publishEntry(e, server, defs[di], false)
+		memo, err := r.runService(ctx, server, defs[di], di, slot, sh, failures, prog)
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
-		st := svcState{
-			svc:      slot.svc,
-			mode:     slot.mode,
-			verified: slot.verified,
-			codes:    make([]outcomeCode, nc),
-		}
-		for ci := 0; ci < nc; ci++ {
-			st.codes[ci] = r.testFor(ctx, &st.svc, ci)
-		}
-		if st.svc.memo != nil {
-			slotsFilled = true
-		}
-		fails := r.foldService(&st, sh)
-		if failures != nil {
-			failures[di] = fails
-		}
-		r.journalService(&st)
-		prog.serviceDone()
+		slotsFilled = slotsFilled || memo
 	}
 	if len(clones) > 0 {
 		r.broadcastClones(server, defs, g, e, clones, sh, failures, prog)
@@ -761,14 +702,14 @@ func (r *Runner) runPlannedGroup(ctx context.Context, server framework.ServerFra
 }
 
 // broadcastClones resolves a group's remaining safe members in one
-// columnar step. Counter parity with the lazy path, per clone:
-// publishOne's memoized branch contributes publishTotal, pubTotal,
+// columnar step. Counter parity with serving each clone individually:
+// publishEntry's memoized branch contributes publishTotal, pubTotal,
 // pubHits, publishMemoized and wsiMemoized; testFor's memo-hit branch
 // contributes testTotal (both), testMemoized per client. Those sums
 // are batched here; the outcome row is the representative's with the
 // executed bit cleared — exactly what testFor returns for a clone —
-// so the fold, the Failures index, and the journal see byte-identical
-// data to the lazy path's.
+// so the fold, the Failures index, and the journal see the same data
+// as for an individually served clone.
 func (r *Runner) broadcastClones(server framework.ServerFramework, defs []services.Definition,
 	g *planGroup, e *shapeEntry, clones []int,
 	sh *shard, failures [][]TestResult, prog *progress) {
@@ -803,31 +744,20 @@ func (r *Runner) broadcastClones(server framework.ServerFramework, defs []servic
 	prog.add(len(clones))
 }
 
-// runPlannedLoose executes one loose class: non-memoizable (the
-// fallback route), or any class under the NoDedup ablation (the
-// direct route) — publishOne's two non-memo branches, inlined.
-func (r *Runner) runPlannedLoose(ctx context.Context, server framework.ServerFramework, def services.Definition,
-	di int, sh *shard, failures [][]TestResult, prog *progress) error {
-	m := r.met
-	m.publishTotal.Inc()
-	var slot publishSlot
-	if r.dedupOn() {
-		r.dedup.fallbacks.Add(1)
-		m.publishFallback.Inc()
-		slot = r.publishDirect(server, def)
-		slot.mode = modeFallback
-	} else {
-		slot = r.publishDirect(server, def)
-		slot.mode = modeDirect
-	}
+// runService completes one individually published class: a rejected
+// class is journaled as resolved; a published one runs its client
+// tests (testFor), folds into sh and is journaled. It reports whether
+// the tests went through a verified shape memo, which leaves every
+// test slot of the entry filled.
+func (r *Runner) runService(ctx context.Context, server framework.ServerFramework, def services.Definition,
+	di int, slot publishSlot, sh *shard, failures [][]TestResult, prog *progress) (memo bool, err error) {
+	defer prog.serviceDone()
 	switch {
 	case slot.err != nil:
-		prog.serviceDone()
-		return slot.err
+		return false, slot.err
 	case !slot.ok:
 		r.journalRejected(server, def, slot)
-		prog.serviceDone()
-		return nil
+		return false, nil
 	}
 	st := svcState{
 		svc:      slot.svc,
@@ -843,8 +773,7 @@ func (r *Runner) runPlannedLoose(ctx context.Context, server framework.ServerFra
 		failures[di] = fails
 	}
 	r.journalService(&st)
-	prog.serviceDone()
-	return nil
+	return st.svc.memo != nil, nil
 }
 
 // PlanServerSummary is one server stage's row of a PlanSummary.
@@ -868,11 +797,12 @@ type PlanServerSummary struct {
 // data. Building it resolves the plan (cache load or catalog walk) but
 // runs nothing.
 type PlanSummary struct {
-	// Fingerprint is the plan's content address; Source is "built" or
-	// "cache".
+	// Fingerprint is the plan's content address; Source is "built",
+	// "cache" or "shared". Reference reports that the reference path
+	// runs: every class loose, no shape groups.
 	Fingerprint string
 	Source      string
-	NoDedup     bool
+	Reference   bool
 	Classes     int
 	Shapes      int
 	Clones      int
@@ -882,11 +812,7 @@ type PlanSummary struct {
 }
 
 // PlanSummary resolves and summarizes the runner's execution plan.
-// It errors under the NoPlan ablation — there is no plan to describe.
 func (r *Runner) PlanSummary() (*PlanSummary, error) {
-	if !r.planOn() {
-		return nil, errors.New("campaign: planned execution is disabled (NoPlan)")
-	}
 	p, err := r.ensurePlan()
 	if err != nil {
 		return nil, err
@@ -894,7 +820,7 @@ func (r *Runner) PlanSummary() (*PlanSummary, error) {
 	sum := &PlanSummary{
 		Fingerprint: p.fingerprint,
 		Source:      p.source,
-		NoDedup:     r.cfg.NoDedup,
+		Reference:   r.cfg.Reference,
 		Classes:     p.classes,
 		Shapes:      p.shapes,
 	}

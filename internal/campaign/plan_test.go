@@ -1,17 +1,15 @@
 package campaign
 
 // Tests for shape-first planned execution and the plan cache
-// (plan.go). The planner must be invisible in every observable output:
-// a planned campaign's Result is byte-identical to the lazy class-first
-// ablation's (Config.NoPlan), its counters and histograms DeepEqual
-// after stripping the plan's own bookkeeping, and a cache file that is
+// (plan.go). The planner's Result equivalence against the reference
+// path lives in equivalence_test.go; here the plan's own structure,
+// its fingerprints, and the cache are pinned: a cache file that is
 // stale, corrupt, or hostile degrades to a fresh build — never to a
 // wrong plan.
 
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -21,104 +19,6 @@ import (
 	"wsinterop/internal/obs"
 	"wsinterop/internal/shape"
 )
-
-// stripPlan drops the campaign.plan.* bookkeeping counters before a
-// planned-vs-lazy comparison: the lazy ablation never builds a plan,
-// so they necessarily differ.
-func stripPlan(counters []obs.CounterSnapshot) []obs.CounterSnapshot {
-	kept := make([]obs.CounterSnapshot, 0, len(counters))
-	for _, c := range counters {
-		if strings.HasPrefix(c.Name, "campaign.plan.") {
-			continue
-		}
-		kept = append(kept, c)
-	}
-	return kept
-}
-
-func comparePlanSnapshots(t *testing.T, label string, lazy, planned *obs.Snapshot) {
-	t.Helper()
-	a := stripPlan(stripJournal(lazy.Counters))
-	b := stripPlan(stripJournal(planned.Counters))
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("%s: counters differ:\nlazy:    %+v\nplanned: %+v", label, a, b)
-	}
-	if !reflect.DeepEqual(lazy.Histograms, planned.Histograms) {
-		t.Errorf("%s: histograms differ:\nlazy:    %+v\nplanned: %+v", label, lazy.Histograms, planned.Histograms)
-	}
-}
-
-// lazyBaseline runs the class-first ablation once and returns its
-// Result, serialized bytes, and metrics snapshot.
-func lazyBaseline(t *testing.T, limit int) (*Result, []byte, *obs.Snapshot) {
-	t.Helper()
-	cfg := resumeConfig(limit, 4)
-	cfg.NoPlan = true
-	res, err := NewRunner(cfg).Run(context.Background())
-	if err != nil {
-		t.Fatalf("lazy baseline: %v", err)
-	}
-	return res, resultBytes(t, res), cfg.Obs.Snapshot()
-}
-
-func comparePlanned(t *testing.T, label string, lazy *Result, lazyBytes []byte, lazySnap *obs.Snapshot,
-	res *Result, snap *obs.Snapshot) {
-	t.Helper()
-	compareResults(t, lazy, res)
-	if !reflect.DeepEqual(lazy.Dedup, res.Dedup) {
-		t.Errorf("%s: dedup stats differ:\nlazy:    %+v\nplanned: %+v", label, lazy.Dedup, res.Dedup)
-	}
-	if got := resultBytes(t, res); string(got) != string(lazyBytes) {
-		t.Errorf("%s: serialized Result is not byte-identical to the lazy run", label)
-	}
-	comparePlanSnapshots(t, label, lazySnap, snap)
-}
-
-// runPlanMatrix is the shared planned-vs-lazy matrix: the planned
-// executor at workers 1 and 8, resumed from a mid-run interruption,
-// and merged from a 2-way shard split — every variant byte-identical
-// to the lazy ablation.
-func runPlanMatrix(t *testing.T, limit int) {
-	lazy, lazyBytes, lazySnap := lazyBaseline(t, limit)
-
-	for _, workers := range []int{1, 8} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := resumeConfig(limit, workers)
-			res, err := NewRunner(cfg).Run(context.Background())
-			if err != nil {
-				t.Fatalf("planned run: %v", err)
-			}
-			comparePlanned(t, t.Name(), lazy, lazyBytes, lazySnap, res, cfg.Obs.Snapshot())
-		})
-	}
-
-	t.Run("resumed", func(t *testing.T) {
-		dir := t.TempDir()
-		interruptAt(t, resumeConfig(limit, 8), dir, lazy.TotalServices/2)
-		res, snap := resume(t, resumeConfig(limit, 8), dir)
-		comparePlanned(t, t.Name(), lazy, lazyBytes, lazySnap, res, snap)
-	})
-
-	t.Run("sharded", func(t *testing.T) {
-		dirs := runShardWorkers(t, limit, 4, 2, -1, 0)
-		res, snap := mergeShardJournals(t, limit, 4, dirs)
-		comparePlanned(t, t.Name(), lazy, lazyBytes, lazySnap, res, snap)
-	})
-}
-
-func TestPlanEquivalenceScaled(t *testing.T) {
-	runPlanMatrix(t, 150)
-}
-
-// TestPlanEquivalenceFull is the acceptance check at full study scale:
-// all 22 024 service cells on the planned executor, against the lazy
-// ablation, plus the resumed and sharded variants.
-func TestPlanEquivalenceFull(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-scale plan equivalence skipped in -short mode")
-	}
-	runPlanMatrix(t, 0)
-}
 
 // TestPlanPartition pins the planner's structural invariants: every
 // definition index appears in exactly one group or the loose list,
@@ -202,17 +102,20 @@ func TestPlanPartition(t *testing.T) {
 		}
 	}
 
-	// NoDedup plans are all loose.
-	nd := NewRunner(Config{Limit: 50, NoDedup: true})
-	np, err := nd.ensurePlan()
+	// Reference plans are all loose.
+	ref := NewRunner(Config{Limit: 50, Reference: true})
+	np, err := ref.ensurePlan()
 	if err != nil {
-		t.Fatalf("NoDedup ensurePlan: %v", err)
+		t.Fatalf("reference ensurePlan: %v", err)
 	}
 	for name, sp := range np.servers {
 		if len(sp.Groups) != 0 || len(sp.Loose) != sp.Defs {
-			t.Errorf("%s: NoDedup plan has %d groups, %d of %d loose",
+			t.Errorf("%s: reference plan has %d groups, %d of %d loose",
 				name, len(sp.Groups), len(sp.Loose), sp.Defs)
 		}
+	}
+	if rsum, err := ref.PlanSummary(); err != nil || !rsum.Reference {
+		t.Errorf("reference PlanSummary = %+v, %v; want Reference set", rsum, err)
 	}
 
 	// The full-scale shape count is the §6.6 study invariant.
@@ -224,6 +127,32 @@ func TestPlanPartition(t *testing.T) {
 		}
 		if fsum.Classes != 22024 || fsum.Shapes != 4856 {
 			t.Errorf("full plan = %d classes in %d shapes, want 22024 in 4856", fsum.Classes, fsum.Shapes)
+		}
+	}
+}
+
+// TestFingerprintsPinned pins the checkpoint and plan fingerprints of
+// the default and the reference configurations. Journals (-checkpoint)
+// and plan caches (-plan-cache) are addressed by them, so any change
+// here orphans users' on-disk state; the reference values are those the
+// separate -reparse and -dedup=false switches produced together.
+func TestFingerprintsPinned(t *testing.T) {
+	for _, c := range []struct {
+		limit      int
+		reference  bool
+		ckpt, plan string
+	}{
+		{0, false, "f0c74f6dda739b29", "9ee43c0ebb38a939"},
+		{0, true, "c136f735529191b1", "4b47f32969233f8a"},
+		{300, false, "823bb9cfa0c295d8", "a611882a93425b7d"},
+		{300, true, "a9e87abed967a114", "c196e73587d4de25"},
+	} {
+		r := NewRunner(Config{Limit: c.limit, Reference: c.reference})
+		if got := r.checkpointFingerprint(); got != c.ckpt {
+			t.Errorf("limit=%d reference=%v: checkpoint fingerprint %s, want %s", c.limit, c.reference, got, c.ckpt)
+		}
+		if got := r.PlanFingerprint(); got != c.plan {
+			t.Errorf("limit=%d reference=%v: plan fingerprint %s, want %s", c.limit, c.reference, got, c.plan)
 		}
 	}
 }
@@ -322,14 +251,11 @@ func TestSharedPlan(t *testing.T) {
 	if err := NewRunner(resumeConfig(60, 4)).AdoptPlan(plan); err == nil {
 		t.Error("AdoptPlan accepted a plan for a different configuration")
 	}
-	// NoPlan ablation: nothing to adopt into.
-	noplan := resumeConfig(80, 4)
-	noplan.NoPlan = true
-	if err := NewRunner(noplan).AdoptPlan(plan); err == nil {
-		t.Error("AdoptPlan accepted a plan under NoPlan")
-	}
-	if _, err := NewRunner(noplan).ExecutionPlan(); err == nil {
-		t.Error("ExecutionPlan succeeded under NoPlan")
+	// The reference path plans every class loose: a different plan.
+	refCfg := resumeConfig(80, 4)
+	refCfg.Reference = true
+	if err := NewRunner(refCfg).AdoptPlan(plan); err == nil {
+		t.Error("AdoptPlan accepted an optimized plan on the reference path")
 	}
 }
 
@@ -349,7 +275,11 @@ func cachedPlanFile(t *testing.T, cache string) string {
 // rebuilt plan healing the cache file for the next run.
 func TestPlanCacheInvalidation(t *testing.T) {
 	const limit = 80
-	_, cleanBytes, _ := lazyBaseline(t, limit)
+	clean, err := NewRunner(resumeConfig(limit, 4)).Run(context.Background())
+	if err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	cleanBytes := resultBytes(t, clean)
 
 	// rewrite unmarshals the primed file, lets the case mutate it, and
 	// re-marshals with a consistent digest — so the tamper under test is

@@ -9,8 +9,8 @@ import (
 )
 
 // TestProfilesMatrixConsistency pins the per-profile compliance matrix:
-// the roster mirrors the wsi registry, the memoized (dedup) and
-// per-class (NoDedup) paths tally identical matrices, every cell is
+// the roster mirrors the wsi registry, the memoized (optimized) and
+// per-class (reference) paths tally identical matrices, every cell is
 // internally consistent with the server summaries, and the IVOA
 // profile — whose check set is a strict superset of BP 1.1's core
 // checks — never admits a service BP 1.1 rejects.
@@ -19,7 +19,7 @@ func TestProfilesMatrixConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatalf("memoized run: %v", err)
 	}
-	perClass, err := NewRunner(Config{Limit: 150, Workers: 2, NoDedup: true}).Run(context.Background())
+	perClass, err := NewRunner(Config{Limit: 150, Workers: 2, Reference: true}).Run(context.Background())
 	if err != nil {
 		t.Fatalf("per-class run: %v", err)
 	}

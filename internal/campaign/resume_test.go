@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"wsinterop/internal/obs"
@@ -30,20 +31,24 @@ func resumeConfig(limit, workers int) Config {
 // interruptAt runs a checkpointed campaign that cancels its context
 // once the journal holds killAt records — the cooperative-drain
 // equivalent of SIGINT at that boundary. killAt 0 cancels before any
-// cell; killAt < 0 lets the run complete (the 100% journal case).
-func interruptAt(t *testing.T, cfg Config, dir string, killAt int) {
+// cell; killAt < 0 lets the run complete (the 100% journal case). It
+// returns how many records the session made durable: a cancel drains
+// whole plan items, so that may exceed killAt.
+func interruptAt(t *testing.T, cfg Config, dir string, killAt int) int {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg.Checkpoint = dir
-	switch {
-	case killAt == 0:
+	durable := 0
+	if killAt == 0 {
 		cancel()
-	case killAt > 0:
-		cfg.checkpointProbe = func(appended int) {
-			if appended == killAt {
-				cancel()
-			}
+	}
+	// The probe fires on the journal's writer goroutine, which Run joins
+	// before returning, so durable is safe to read afterwards.
+	cfg.checkpointProbe = func(appended int) {
+		durable = appended
+		if appended == killAt {
+			cancel()
 		}
 	}
 	res, err := NewRunner(cfg).Run(ctx)
@@ -54,7 +59,7 @@ func interruptAt(t *testing.T, cfg Config, dir string, killAt int) {
 		if res == nil {
 			t.Fatal("uninterrupted checkpointed run returned nil result")
 		}
-		return
+		return durable
 	}
 	// A cancellation racing the end of the run may still complete; any
 	// other error is a failure. Either way the journal must be resumable.
@@ -64,6 +69,7 @@ func interruptAt(t *testing.T, cfg Config, dir string, killAt int) {
 	if killAt > 0 && err == nil {
 		t.Fatalf("run completed before reaching kill point %d", killAt)
 	}
+	return durable
 }
 
 // resume re-runs the campaign from the journal in dir and returns the
@@ -223,18 +229,27 @@ func TestResumeSurvivesSecondInterruption(t *testing.T) {
 	totalCells := clean.TotalServices
 
 	dir := t.TempDir()
-	interruptAt(t, resumeConfig(limit, 8), dir, totalCells/4)
-	// Second session: resume AND interrupt again deeper in.
+	durable := interruptAt(t, resumeConfig(limit, 8), dir, totalCells/4)
+	// Second session: resume AND interrupt again, halfway through what
+	// the first session left. Session 1 drains whole shape groups past
+	// its kill point, so the second kill point is set from what it made
+	// durable, not from a fixed share of the campaign.
+	remaining := totalCells - durable
+	if remaining < 2 {
+		t.Fatalf("first session journaled %d of %d cells; nothing left to interrupt", durable, totalCells)
+	}
 	{
 		cfg := resumeConfig(limit, 8)
 		cfg.Checkpoint, cfg.Resume = dir, true
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
+		var once sync.Once
 		cfg.checkpointProbe = func(appended int) {
-			// appended counts this session only; the journal already holds
-			// ~25%, so this lands around 75% overall.
-			if appended == totalCells/2 {
-				cancel()
+			// appended counts this session only, and the session appends
+			// exactly remaining records if it runs to completion, so this
+			// fires in every schedule.
+			if appended >= remaining/2 {
+				once.Do(cancel)
 			}
 		}
 		if _, err := NewRunner(cfg).Run(ctx); !errors.Is(err, context.Canceled) {
@@ -311,21 +326,21 @@ func TestResumeChecksConfiguration(t *testing.T) {
 }
 
 // TestResumeNoDedupAblation: the checkpoint layer must compose with
-// the shape-memo ablation — journaled direct cells replay without
-// touching memo state.
+// the reference path — journaled direct cells replay without touching
+// memo state.
 func TestResumeNoDedupAblation(t *testing.T) {
 	cfg := resumeConfig(60, 4)
-	cfg.NoDedup = true
+	cfg.Reference = true
 	clean, err := NewRunner(cfg).Run(context.Background())
 	if err != nil {
 		t.Fatalf("clean run: %v", err)
 	}
 	dir := t.TempDir()
 	killed := resumeConfig(60, 4)
-	killed.NoDedup = true
+	killed.Reference = true
 	interruptAt(t, killed, dir, clean.TotalServices/2)
 	resumedCfg := resumeConfig(60, 4)
-	resumedCfg.NoDedup = true
+	resumedCfg.Reference = true
 	res, _ := resume(t, resumedCfg, dir)
 	compareResults(t, clean, res)
 	if !reflect.DeepEqual(clean.Dedup, res.Dedup) {
@@ -333,21 +348,22 @@ func TestResumeNoDedupAblation(t *testing.T) {
 	}
 }
 
-// TestRunContextAndOptions covers the context-first package surface:
-// Run/RunContext wrappers and the functional-option constructor.
+// TestRunContextAndOptions covers the functional-option constructor
+// against the struct-built runner, and cancellation through Run's
+// context.
 func TestRunContextAndOptions(t *testing.T) {
-	res, err := Run(Config{Limit: 2, Workers: 2})
+	res, err := NewRunner(Config{Limit: 2, Workers: 2}).Run(context.Background())
 	if err != nil {
-		t.Fatalf("package Run: %v", err)
+		t.Fatalf("struct-built Run: %v", err)
 	}
 	if res.TotalTests == 0 {
-		t.Error("package Run produced an empty result")
+		t.Error("struct-built Run produced an empty result")
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunContext(ctx, Config{Limit: 2}); !errors.Is(err, context.Canceled) {
-		t.Errorf("RunContext with cancelled context: err = %v, want context.Canceled", err)
+	if _, err := New(WithLimit(2)).Run(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("Run with cancelled context: err = %v, want context.Canceled", err)
 	}
 
 	reg := frozenRegistry()

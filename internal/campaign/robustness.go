@@ -312,7 +312,7 @@ feed:
 func (r *Runner) robustCombination(ctx context.Context, handler http.Handler,
 	client framework.ClientFramework, svc *PublishedService, ep *transport.Endpoint,
 	catalog []faultinject.Fault, cells []RobustOutcome) {
-	op, ok := invocable(client, svc, ep, r.cfg.Reparse)
+	op, ok := invocable(client, svc, ep, r.cfg.Reference)
 	if !ok || op == "" {
 		for i := range cells {
 			cells[i] = RobustSkipped

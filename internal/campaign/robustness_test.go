@@ -101,20 +101,21 @@ func TestRobustnessDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRobustnessReparseEquivalence checks the cache ablation: routing
-// WSDL analysis through the shared cache or re-parsing bytes per cell
-// must produce the same matrix.
+// TestRobustnessReparseEquivalence checks the optimized path against
+// the reference: memoized publishing and the shared WSDL analysis, or
+// per-class publishing and re-parsing bytes per cell, must produce the
+// same matrix.
 func TestRobustnessReparseEquivalence(t *testing.T) {
-	run := func(reparse bool) *RobustResult {
-		res, err := NewRunner(Config{Limit: robustLimit(60), Workers: 4, Reparse: reparse}).RunRobustness(context.Background())
+	run := func(reference bool) *RobustResult {
+		res, err := NewRunner(Config{Limit: robustLimit(60), Workers: 4, Reference: reference}).RunRobustness(context.Background())
 		if err != nil {
-			t.Fatalf("run (reparse=%v): %v", reparse, err)
+			t.Fatalf("run (reference=%v): %v", reference, err)
 		}
 		return res
 	}
-	if cached, reparsed := run(false), run(true); !reflect.DeepEqual(cached, reparsed) {
-		t.Errorf("matrix differs between shared-analysis and reparse modes:\ncached:   %+v\nreparsed: %+v",
-			cached.Totals(), reparsed.Totals())
+	if optimized, reference := run(false), run(true); !reflect.DeepEqual(optimized, reference) {
+		t.Errorf("matrix differs between the optimized and reference paths:\noptimized: %+v\nreference: %+v",
+			optimized.Totals(), reference.Totals())
 	}
 }
 

@@ -232,7 +232,7 @@ func TestProgressCallback(t *testing.T) {
 	if len(stages) != 3 {
 		t.Errorf("stages = %v, want one per server", stages)
 	}
-	// The streaming runner reports every created service as resolved —
+	// The runner reports every created service as resolved —
 	// tested or rejected — so each stage must end complete.
 	if last != lastTotal || lastTotal != 100 {
 		t.Errorf("final stage ended at %d of %d, want 100 of 100", last, lastTotal)

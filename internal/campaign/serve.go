@@ -56,10 +56,8 @@ type CampaignSpec struct {
 	// CLI's -server/-client semantics.
 	Server string `json:"server,omitempty"`
 	Client string `json:"client,omitempty"`
-	// Reparse, NoDedup, and NoPlan select the ablation paths.
-	Reparse bool `json:"reparse,omitempty"`
-	NoDedup bool `json:"noDedup,omitempty"`
-	NoPlan  bool `json:"noPlan,omitempty"`
+	// Reference selects the paper's literal pipeline (Config.Reference).
+	Reference bool `json:"reference,omitempty"`
 	// KeepFailures retains the per-test failure index in the report.
 	KeepFailures bool `json:"keepFailures,omitempty"`
 }
@@ -70,14 +68,8 @@ func (s *CampaignSpec) options() ([]Option, error) {
 		return nil, fmt.Errorf("campaign: negative limit or workers")
 	}
 	opts := []Option{WithLimit(s.Limit), WithWorkers(s.Workers)}
-	if s.Reparse {
-		opts = append(opts, WithReparse())
-	}
-	if s.NoDedup {
-		opts = append(opts, WithoutDedup())
-	}
-	if s.NoPlan {
-		opts = append(opts, WithoutPlan())
+	if s.Reference {
+		opts = append(opts, WithReference())
 	}
 	if s.KeepFailures {
 		opts = append(opts, WithKeepFailures())

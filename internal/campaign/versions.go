@@ -586,7 +586,7 @@ feed:
 func (r *Runner) versionCombination(ctx context.Context, wire *versionWire,
 	client framework.ClientFramework, svc *PublishedService, ep *transport.Endpoint,
 	scenarios []VersionScenario, cells []VersionOutcome) {
-	op, ok := invocable(client, svc, ep, r.cfg.Reparse)
+	op, ok := invocable(client, svc, ep, r.cfg.Reference)
 	if !ok || op == "" {
 		for i := range cells {
 			cells[i] = VersionSkipped

@@ -108,33 +108,33 @@ func TestVersionsScaled(t *testing.T) {
 }
 
 // TestVersionMatrixEquivalence is the determinism acceptance check:
-// worker count, scheduling, and the shape-memo ablation must never
-// change a cell of the version matrix.
+// worker count, scheduling, and the reference path must never change a
+// cell of the version matrix.
 func TestVersionMatrixEquivalence(t *testing.T) {
 	limit := 200
 	if testing.Short() {
 		limit = 60
 	}
-	run := func(workers int, nodedup bool) *VersionResult {
-		res, err := NewRunner(Config{Limit: limit, Workers: workers, NoDedup: nodedup}).
+	run := func(workers int, reference bool) *VersionResult {
+		res, err := NewRunner(Config{Limit: limit, Workers: workers, Reference: reference}).
 			RunVersions(context.Background())
 		if err != nil {
-			t.Fatalf("run (workers=%d nodedup=%v): %v", workers, nodedup, err)
+			t.Fatalf("run (workers=%d reference=%v): %v", workers, reference, err)
 		}
 		return res
 	}
 	base := run(4, false)
 	baseBytes := versionBytes(t, base)
 	for _, v := range []struct {
-		label   string
-		workers int
-		nodedup bool
+		label     string
+		workers   int
+		reference bool
 	}{
 		{"serial", 1, false},
 		{"parallel", 8, false},
-		{"nodedup", 4, true},
+		{"reference", 4, true},
 	} {
-		if got := versionBytes(t, run(v.workers, v.nodedup)); string(got) != string(baseBytes) {
+		if got := versionBytes(t, run(v.workers, v.reference)); string(got) != string(baseBytes) {
 			t.Errorf("matrix differs under %s execution", v.label)
 		}
 	}

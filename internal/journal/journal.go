@@ -70,10 +70,11 @@ type Meta struct {
 	// (nil for a whole-campaign journal). The merge coordinator uses it
 	// to verify that a set of journals tiles the campaign exactly once.
 	Shard *ShardMeta `json:"shard,omitempty"`
-	// Plan records the execution plan the session ran under (nil for
-	// lazy-dedup runs). It is provenance, deliberately not part of the
-	// resume identity check: planned and lazy execution are
-	// result-identical, so either mode may finish the other's journal.
+	// Plan records the execution plan the session ran under (nil in
+	// journals written before plans existed). It is provenance,
+	// deliberately not part of the resume identity check: a session may
+	// finish a journal written under a cached, shared or freshly built
+	// plan alike.
 	Plan *PlanMeta `json:"plan,omitempty"`
 }
 

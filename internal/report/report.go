@@ -112,7 +112,7 @@ func Findings(w io.Writer, res *campaign.Result) error {
 func Dedup(w io.Writer, res *campaign.Result) error {
 	d := res.Dedup
 	if d == nil || !d.Enabled {
-		_, err := fmt.Fprintln(w, "shape memoization disabled (-dedup=false)")
+		_, err := fmt.Fprintln(w, "shape memoization disabled (-reference)")
 		return err
 	}
 	rate := func(hits, total int) float64 {
@@ -181,8 +181,8 @@ func Profiles(w io.Writer, res *campaign.Result) error {
 // much of the campaign the clone broadcast will serve (DESIGN.md §12).
 func Plan(w io.Writer, sum *campaign.PlanSummary) error {
 	fmt.Fprintf(w, "plan fingerprint: %s (source: %s)\n", sum.Fingerprint, sum.Source)
-	if sum.NoDedup {
-		fmt.Fprintln(w, "shape memoization disabled: every class runs the direct path")
+	if sum.Reference {
+		fmt.Fprintln(w, "reference path: every class runs the direct path and every client re-parses the WSDL bytes")
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "server\tclasses\tshapes\tclones\tunsafe\tloose")
