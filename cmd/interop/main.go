@@ -19,11 +19,12 @@
 // machine-readable dump of everything.
 //
 // Durability: -checkpoint DIR journals every completed cell to DIR as
-// the campaign runs; SIGINT/SIGTERM then drain in-flight work, flush
-// the journal, and exit with resumable state, and a second invocation
-// with -checkpoint DIR -resume replays the journaled cells and
-// finishes the rest — producing output identical to an uninterrupted
-// run (DESIGN.md §9).
+// the campaign runs — and, under -faults and -versions, every wire
+// matrix cell to DIR/faults and DIR/versions; SIGINT/SIGTERM then
+// drain in-flight work, flush the journal, and exit with resumable
+// state, and a second invocation with -checkpoint DIR -resume replays
+// the journaled cells and finishes the rest — producing output
+// identical to an uninterrupted run (DESIGN.md §9, §14.5).
 //
 // Planning: the campaign executes shape-first from a precomputed plan
 // (DESIGN.md §12); -plan-cache DIR persists built plans keyed by the
@@ -37,10 +38,12 @@
 // campaign — N worker processes, each with its own -checkpoint DIR,
 // cover every cell exactly once — and -merge DIR,DIR,... folds the
 // completed shard journals into one report identical to a
-// single-process run (DESIGN.md §11). -serve ADDR runs the command as
-// a long-lived campaign daemon instead: POST /campaigns streams a
-// campaign's progress as NDJSON, POST /services publishes a class's
-// WSDL over real TCP, and the debug endpoint is mounted at /debug/.
+// single-process run (DESIGN.md §11); with -faults or -versions it
+// folds the shards' wire matrices too, exchanging nothing itself.
+// -serve ADDR runs the command as a long-lived campaign daemon
+// instead: POST /campaigns streams a campaign's progress as NDJSON,
+// POST /services publishes a class's WSDL over real TCP, and the debug
+// endpoint is mounted at /debug/.
 //
 // Observability: -report metrics prints the runner's stage-scoped
 // counters and latency histograms as text; -metrics-json FILE exports
@@ -355,13 +358,18 @@ func run(args []string, out io.Writer) error {
 			return runner.Merge(ctx, mergeDirs)
 		}
 	}
-	res, err := execute(ctx)
-	if err != nil {
+	// interrupted turns a drained cancellation of a checkpointed run into
+	// the resume instructions.
+	interrupted := func(err error) error {
 		if *checkpoint != "" && errors.Is(err, context.Canceled) {
-			err = fmt.Errorf("interrupted — journal flushed to %s; rerun with -checkpoint %s -resume to continue",
+			return fmt.Errorf("interrupted — journal flushed to %s; rerun with -checkpoint %s -resume to continue",
 				*checkpoint, *checkpoint)
 		}
-		return finish(err)
+		return err
+	}
+	res, err := execute(ctx)
+	if err != nil {
+		return finish(interrupted(err))
 	}
 	if *progress && res.Dedup != nil && res.Dedup.Enabled {
 		d := res.Dedup
@@ -375,25 +383,29 @@ func run(args []string, out io.Writer) error {
 			return finish(err)
 		}
 	}
+	// Under -merge the wire matrices are folded from the shards' faults
+	// and versions journals instead of re-executed, mirroring the static
+	// campaign merge above.
 	var robust *campaign.RobustResult
 	if *faults || *reportKind == "robust" {
-		if robust, err = runner.RunRobustness(ctx); err != nil {
-			return finish(err)
+		if len(mergeDirs) > 0 {
+			robust, err = runner.MergeRobustness(ctx, mergeDirs)
+		} else {
+			robust, err = runner.RunRobustness(ctx)
+		}
+		if err != nil {
+			return finish(interrupted(err))
 		}
 	}
 	var versions *campaign.VersionResult
 	if *versionMatrix || *reportKind == "versions" {
-		// Under -merge the version matrix is folded from the shards'
-		// versions journals instead of re-executed, mirroring the static
-		// campaign merge above.
-		runVersions := runner.RunVersions
 		if len(mergeDirs) > 0 {
-			runVersions = func(ctx context.Context) (*campaign.VersionResult, error) {
-				return runner.MergeVersions(ctx, mergeDirs)
-			}
+			versions, err = runner.MergeVersions(ctx, mergeDirs)
+		} else {
+			versions, err = runner.RunVersions(ctx)
 		}
-		if versions, err = runVersions(ctx); err != nil {
-			return finish(err)
+		if err != nil {
+			return finish(interrupted(err))
 		}
 	}
 	switch *reportKind {

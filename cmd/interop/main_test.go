@@ -147,6 +147,58 @@ func TestRunVersionsMergeCLI(t *testing.T) {
 	}
 }
 
+// TestRunRobustnessMergeCLI: `-merge … -faults` folds the shards'
+// fault journals into the single-process matrix and injects no fault
+// itself.
+func TestRunRobustnessMergeCLI(t *testing.T) {
+	var single bytes.Buffer
+	if err := run([]string{"-limit", "20", "-faults", "-report", "robust"}, &single); err != nil {
+		t.Fatalf("single run: %v", err)
+	}
+	dirs := []string{t.TempDir(), t.TempDir()}
+	for i, dir := range dirs {
+		var buf bytes.Buffer
+		args := []string{
+			"-limit", "20", "-faults", "-report", "robust",
+			"-shard", fmt.Sprintf("%d/%d", i, len(dirs)), "-checkpoint", dir,
+		}
+		if err := run(args, &buf); err != nil {
+			t.Fatalf("shard %d run: %v", i, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "faults", "meta.json")); err != nil {
+			t.Fatalf("shard %d wrote no faults store: %v", i, err)
+		}
+	}
+	metrics := filepath.Join(t.TempDir(), "merge.json")
+	var merged bytes.Buffer
+	if err := run([]string{"-limit", "20", "-faults", "-report", "robust",
+		"-merge", strings.Join(dirs, ","), "-metrics-json", metrics}, &merged); err != nil {
+		t.Fatalf("merge run: %v", err)
+	}
+	if merged.String() != single.String() {
+		t.Errorf("merged robust report differs from single-process run:\n--- single ---\n%s--- merged ---\n%s",
+			single.String(), merged.String())
+	}
+	data, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatalf("metrics file not written: %v", err)
+	}
+	var snap struct {
+		Counters []struct {
+			Name  string `json:"name"`
+			Value int64  `json:"value"`
+		} `json:"counters"`
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		t.Fatalf("metrics JSON does not parse: %v", err)
+	}
+	for _, c := range snap.Counters {
+		if c.Name == "faultinject.injected" && c.Value != 0 {
+			t.Errorf("merge coordinator injected %d faults, want 0", c.Value)
+		}
+	}
+}
+
 func TestRunServerClientFilters(t *testing.T) {
 	var buf bytes.Buffer
 	if err := run([]string{"-limit", "60", "-server", "metro", "-client", "axis1", "-report", "table3"}, &buf); err != nil {

@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 
 	"wsinterop/internal/artifact"
+	"wsinterop/internal/faultinject"
 	"wsinterop/internal/framework"
 	"wsinterop/internal/obs"
 	"wsinterop/internal/services"
@@ -429,6 +430,9 @@ type Runner struct {
 	// sharedPlan is a plan adopted from another runner with the same
 	// configuration (AdoptPlan); ensurePlan uses it instead of building.
 	sharedPlan *campaignPlan
+	// faults overrides the fault catalog of RunRobustness (nil uses
+	// faultinject.Catalog) — test instrumentation for catalog drift.
+	faults []faultinject.Fault
 }
 
 // NewRunner builds a runner from the configuration.
@@ -525,7 +529,9 @@ func (r *Runner) Publish(ctx context.Context, server framework.ServerFramework) 
 // dispatch feeds items 0..items-1 to a pool of workers, calling
 // work(w, it) on worker w. Cancellation stops the feed but drains: an
 // item already received runs to completion before its worker exits —
-// for Run, the folded-and-journaled resumable boundary.
+// for Run and the wire matrices, the journaled resumable boundary. It
+// is the package's one worker pool: every parallel stage, down to the
+// plan's catalog pass and the shard tree merge, feeds it.
 func dispatch(ctx context.Context, workers, items int, work func(w, it int)) {
 	ch := make(chan int)
 	var wg sync.WaitGroup
@@ -905,15 +911,10 @@ func (s *shard) add(o *shard) {
 func mergeShards(shards []*shard) *shard {
 	for len(shards) > 1 {
 		half := (len(shards) + 1) / 2
-		var wg sync.WaitGroup
-		for i := 0; i+half < len(shards); i++ {
-			wg.Add(1)
-			go func(dst, src *shard) {
-				defer wg.Done()
-				dst.add(src)
-			}(shards[i], shards[i+half])
-		}
-		wg.Wait()
+		pairs := len(shards) - half
+		dispatch(context.Background(), pairs, pairs, func(_, i int) {
+			shards[i].add(shards[i+half])
+		})
 		shards = shards[:half]
 	}
 	if len(shards) == 0 {

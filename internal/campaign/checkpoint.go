@@ -26,7 +26,9 @@ package campaign
 //     executing class, with identical totals.
 
 import (
+	"context"
 	"fmt"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"sync"
@@ -90,8 +92,9 @@ func cellTrace(server, class string) string { return obs.TraceID(server, class) 
 // sustained producer pressure.
 const journalFlushEvery = 64
 
-// checkpointState is one Run's open journal plus the serial writer
-// goroutine that owns every append.
+// checkpointState is one open journal store plus the serial writer
+// goroutine that owns every append: the classic campaign's, or a wire
+// matrix's (wire.go).
 type checkpointState struct {
 	j      *journal.Journal
 	loaded map[string]journal.Record // resume: trace → journaled cell
@@ -101,6 +104,7 @@ type checkpointState struct {
 
 	resumed  *obs.Counter // journal.cells.resumed
 	executed *obs.Counter // journal.cells.executed
+	reg      *obs.Registry
 }
 
 // checkpointFingerprint content-addresses everything that shapes the
@@ -166,29 +170,25 @@ func (r *Runner) shardMeta() (*journal.ShardMeta, error) {
 	return &journal.ShardMeta{Index: sh.Index, Count: sh.Count, Lease: lease}, nil
 }
 
-// openCheckpoint opens the journal configured by Config.Checkpoint (a
-// no-op without one) and starts the serial writer goroutine.
-func (r *Runner) openCheckpoint() error {
+// openStore opens the journal store sub (relative to Config.Checkpoint;
+// "" is the classic campaign's own store) under fingerprint and starts
+// its serial writer goroutine. Without a checkpoint it returns nil.
+// plan, when non-nil, is recorded in the store's meta as provenance.
+func (r *Runner) openStore(sub, fingerprint string, plan *journal.PlanMeta) (*checkpointState, error) {
 	shard, err := r.shardMeta()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if r.cfg.Checkpoint == "" {
 		if r.cfg.Resume {
-			return fmt.Errorf("campaign: Resume requires a Checkpoint directory")
+			return nil, fmt.Errorf("campaign: Resume requires a Checkpoint directory")
 		}
-		return nil
+		return nil, nil
 	}
-	meta := journal.Meta{Fingerprint: r.checkpointFingerprint(), Shard: shard}
-	if p := r.plan; p != nil {
-		// Provenance only — journal.Open does not compare it on resume,
-		// so a session may finish a journal written under a cached,
-		// shared or freshly built plan alike.
-		meta.Plan = &journal.PlanMeta{Fingerprint: p.fingerprint, Classes: p.classes, Shapes: p.shapes}
-	}
-	j, err := journal.Open(r.cfg.Checkpoint, meta, r.cfg.Resume)
+	meta := journal.Meta{Fingerprint: fingerprint, Shard: shard, Plan: plan}
+	j, err := journal.Open(filepath.Join(r.cfg.Checkpoint, sub), meta, r.cfg.Resume)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	j.AfterAppend = r.cfg.checkpointProbe
 	// Group-commit: under load the writer drains whatever the workers
@@ -197,12 +197,9 @@ func (r *Runner) openCheckpoint() error {
 	// record can stay buffered. AfterAppend still fires once per record
 	// at its durable point, so the kill-point probes are unaffected.
 	j.FlushEvery = journalFlushEvery
-	cs := &checkpointState{
-		j:        j,
-		ch:       make(chan journal.Record, 256),
-		resumed:  r.obs.Counter("journal.cells.resumed"),
-		executed: r.obs.Counter("journal.cells.executed"),
-	}
+	cs := r.newStore(nil)
+	cs.j = j
+	cs.ch = make(chan journal.Record, 256)
 	if r.cfg.Resume {
 		recs := j.Records()
 		cs.loaded = make(map[string]journal.Record, len(recs))
@@ -237,23 +234,57 @@ func (r *Runner) openCheckpoint() error {
 			}
 		}
 	}()
+	return cs, nil
+}
+
+// newStore builds a store over loaded records with no journal behind
+// it: as returned, the merge coordinator's replay-only store over the
+// unioned shard records; openStore adds a journal and its writer.
+func (r *Runner) newStore(loaded map[string]journal.Record) *checkpointState {
+	return &checkpointState{
+		loaded:   loaded,
+		resumed:  r.obs.Counter("journal.cells.resumed"),
+		executed: r.obs.Counter("journal.cells.executed"),
+		reg:      r.obs,
+	}
+}
+
+// openCheckpoint opens the classic campaign's store for one Run.
+func (r *Runner) openCheckpoint() error {
+	var plan *journal.PlanMeta
+	if p := r.plan; p != nil {
+		// Provenance only — journal.Open does not compare it on resume,
+		// so a session may finish a journal written under a cached,
+		// shared or freshly built plan alike.
+		plan = &journal.PlanMeta{Fingerprint: p.fingerprint, Classes: p.classes, Shapes: p.shapes}
+	}
+	cs, err := r.openStore("", r.checkpointFingerprint(), plan)
+	if err != nil {
+		return err
+	}
 	r.ckpt = cs
 	return nil
 }
 
-// closeCheckpoint stops the writer, flushes, and closes the journal —
-// always called before Run returns, so an interrupted run exits with
-// every completed cell durable.
+// closeCheckpoint closes the classic store — always called before Run
+// returns, so an interrupted run exits with every completed cell
+// durable.
 func (r *Runner) closeCheckpoint() error {
 	cs := r.ckpt
-	if cs == nil {
+	r.ckpt = nil
+	return cs.close()
+}
+
+// close stops the writer, flushes, and closes the journal; nil-safe,
+// and a no-op for a replay-only store.
+func (cs *checkpointState) close() error {
+	if cs == nil || cs.j == nil {
 		return nil
 	}
-	r.ckpt = nil
 	close(cs.ch)
 	cs.wg.Wait()
 	if n := cs.j.Compactions(); n > 0 {
-		r.obs.Counter("journal.compactions").Add(int64(n))
+		cs.reg.Counter("journal.compactions").Add(int64(n))
 	}
 	err := cs.err
 	if cerr := cs.j.Close(); err == nil {
@@ -263,18 +294,23 @@ func (r *Runner) closeCheckpoint() error {
 }
 
 // append hands one completed cell to the writer goroutine; nil-safe so
-// call sites need no checkpoint-enabled branch. A replay-only state —
-// the merge coordinator's, which has no journal of its own — counts
-// the cell but has nowhere to write it.
+// call sites need no checkpoint-enabled branch. A replay-only store has
+// nowhere to write and appends nothing.
 func (cs *checkpointState) append(rec journal.Record) {
-	if cs == nil {
+	if cs == nil || cs.ch == nil {
 		return
 	}
 	cs.executed.Inc()
-	if cs.ch == nil {
-		return
-	}
 	cs.ch <- rec
+}
+
+// record looks up a loaded record; nil-safe.
+func (cs *checkpointState) record(trace string) (journal.Record, bool) {
+	if cs == nil {
+		return journal.Record{}, false
+	}
+	rec, ok := cs.loaded[trace]
+	return rec, ok
 }
 
 // journalService records one fully tested service cell.
@@ -476,48 +512,29 @@ func (r *Runner) replayStage(server framework.ServerFramework, replay map[int]jo
 		idxs = append(idxs, i)
 	}
 	sort.Ints(idxs)
-	workers := r.workers()
-	if workers > len(idxs) {
-		workers = len(idxs)
-	}
+	workers := min(r.workers(), len(idxs))
 	shards := make([]*shard, workers)
 	errs := make([]error, workers)
 	chunk := (len(idxs) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	dispatch(context.Background(), workers, workers, func(_, w int) {
 		sh := newShard(len(r.clients), len(r.profiles))
 		shards[w] = sh
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(idxs) {
-			hi = len(idxs)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w int, slice []int, sh *shard) {
-			defer wg.Done()
-			for _, i := range slice {
-				st, err := r.replayService(replay[i])
-				if err != nil {
-					if errs[w] == nil {
-						errs[w] = err
-					}
-					return
-				}
-				r.ckpt.resumed.Inc()
-				if st != nil {
-					fails := r.foldService(st, sh)
-					if failures != nil {
-						failures[i] = fails
-					}
-				}
-				prog.serviceDone()
+		for _, i := range idxs[min(w*chunk, len(idxs)):min((w+1)*chunk, len(idxs))] {
+			st, err := r.replayService(replay[i])
+			if err != nil {
+				errs[w] = err
+				return
 			}
-		}(w, idxs[lo:hi], sh)
-	}
-	wg.Wait()
+			r.ckpt.resumed.Inc()
+			if st != nil {
+				fails := r.foldService(st, sh)
+				if failures != nil {
+					failures[i] = fails
+				}
+			}
+			prog.serviceDone()
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"wsinterop/internal/artifact"
 	"wsinterop/internal/framework"
@@ -184,46 +183,28 @@ func (r *Runner) runCommunicationServer(ctx context.Context, server framework.Se
 	sum := &CommSummary{Server: server.Name(), PathCollisions: collisions}
 	outcomes := make([]CommOutcome, len(published)*len(r.clients))
 
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < r.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				si, ci := idx/len(r.clients), idx%len(r.clients)
-				svc, cli := &published[si], r.clients[ci]
-				// The cell's trace joins sniffer captures (and any fault
-				// logs) back to this (server, class, client) combination:
-				// the bridge stamps it on the wire as X-Wsinterop-Trace.
-				trace := obs.TraceID(server.Name(), svc.Class, cli.Name())
-				start := r.met.now()
-				outcomes[idx] = communicate(obs.WithTrace(ctx, trace), bridge, cli, svc,
-					endpoints[svc.Class], r.cfg.Reference)
-				r.met.observe(r.met.commSeconds, start)
-				r.met.commCells.Inc()
-				r.obs.Emit(obs.Event{
-					Trace:        trace,
-					Stage:        "communication",
-					Server:       server.Name(),
-					Client:       cli.Name(),
-					Class:        svc.Class,
-					Detail:       outcomes[idx].String(),
-					ElapsedNanos: int64(r.met.since(start)),
-				})
-			}
-		}()
-	}
-feed:
-	for idx := 0; idx < len(outcomes); idx++ {
-		select {
-		case <-ctx.Done():
-			break feed
-		case jobs <- idx:
-		}
-	}
-	close(jobs)
-	wg.Wait()
+	dispatch(ctx, r.workers(), len(outcomes), func(_, idx int) {
+		si, ci := idx/len(r.clients), idx%len(r.clients)
+		svc, cli := &published[si], r.clients[ci]
+		// The cell's trace joins sniffer captures (and any fault logs)
+		// back to this (server, class, client) combination: the bridge
+		// stamps it on the wire as X-Wsinterop-Trace.
+		trace := obs.TraceID(server.Name(), svc.Class, cli.Name())
+		start := r.met.now()
+		outcomes[idx] = communicate(obs.WithTrace(ctx, trace), bridge, cli, svc,
+			endpoints[svc.Class], r.cfg.Reference)
+		r.met.observe(r.met.commSeconds, start)
+		r.met.commCells.Inc()
+		r.obs.Emit(obs.Event{
+			Trace:        trace,
+			Stage:        "communication",
+			Server:       server.Name(),
+			Client:       cli.Name(),
+			Class:        svc.Class,
+			Detail:       outcomes[idx].String(),
+			ElapsedNanos: int64(r.met.since(start)),
+		})
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -27,6 +27,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"strconv"
 
 	"wsinterop/internal/journal"
@@ -113,16 +114,7 @@ func Merge(ctx context.Context, dirs []string, opts ...Option) (*Result, error) 
 // nothing: it verifies the journals tile the campaign exactly once,
 // normalizes cross-shard memo state, and replays.
 func (r *Runner) Merge(ctx context.Context, dirs []string) (*Result, error) {
-	if len(dirs) == 0 {
-		return nil, fmt.Errorf("campaign: merge needs at least one shard journal directory")
-	}
-	if r.cfg.Shard.enabled() {
-		return nil, fmt.Errorf("campaign: the merge coordinator runs unsharded (drop shard %s)", r.cfg.Shard)
-	}
-	if r.cfg.Checkpoint != "" || r.cfg.Resume {
-		return nil, fmt.Errorf("campaign: merge reads shard journals; it does not take its own Checkpoint/Resume")
-	}
-	loaded, err := r.loadShardJournals(dirs)
+	_, loaded, err := r.loadShardJournals(dirs, "", r.checkpointFingerprint())
 	if err != nil {
 		return nil, err
 	}
@@ -132,54 +124,63 @@ func (r *Runner) Merge(ctx context.Context, dirs []string) (*Result, error) {
 	if err := r.normalizeShards(loaded); err != nil {
 		return nil, err
 	}
-	// Replay-only checkpoint state: every cell is in loaded, so the
-	// executor runs nothing and the journal writer side (j,
-	// ch) stays nil — append is nil-channel-safe and closeCheckpoint is
-	// never involved because runCampaign is entered directly.
-	r.ckpt = &checkpointState{
-		loaded:   loaded,
-		resumed:  r.obs.Counter("journal.cells.resumed"),
-		executed: r.obs.Counter("journal.cells.executed"),
-	}
+	// Replay-only store: every cell is in loaded, so the executor runs
+	// nothing.
+	r.ckpt = r.newStore(loaded)
 	defer func() { r.ckpt = nil }()
 	return r.runCampaign(ctx)
 }
 
-// loadShardJournals reads every shard journal, verifies the set tiles
-// this runner's campaign exactly once (fingerprint, lease, shard
-// indexes), and unions the records, refusing overlap.
-func (r *Runner) loadShardJournals(dirs []string) (map[string]journal.Record, error) {
-	fp := r.checkpointFingerprint()
+// loadShardJournals reads the store sub ("" for the classic campaign's)
+// of every shard checkpoint directory, verifies the set tiles this
+// runner's campaign exactly once (store fingerprint, lease, shard
+// indexes), and unions the records, refusing overlap. metas[i] is the
+// identity of dirs[i]. It also refuses a coordinator that is itself
+// sharded or journaling: a merge only reads.
+func (r *Runner) loadShardJournals(dirs []string, sub, fingerprint string) ([]*journal.Meta, map[string]journal.Record, error) {
+	if len(dirs) == 0 {
+		return nil, nil, fmt.Errorf("campaign: merge needs at least one shard journal directory")
+	}
+	if r.cfg.Shard.enabled() {
+		return nil, nil, fmt.Errorf("campaign: the merge coordinator runs unsharded (drop shard %s)", r.cfg.Shard)
+	}
+	if r.cfg.Checkpoint != "" || r.cfg.Resume {
+		return nil, nil, fmt.Errorf("campaign: merge reads shard journals; it does not take its own Checkpoint/Resume")
+	}
+	// Leases are minted from the campaign fingerprint, whichever store
+	// the shard journaled.
+	campaign := r.checkpointFingerprint()
 	metas := make([]*journal.Meta, 0, len(dirs))
 	loaded := make(map[string]journal.Record)
 	for _, dir := range dirs {
+		dir = filepath.Join(dir, sub)
 		meta, recs, err := journal.Load(dir)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if meta.Fingerprint != fp {
-			return nil, fmt.Errorf("%w: %s (merge must be invoked with the exact configuration the shards ran)",
+		if meta.Fingerprint != fingerprint {
+			return nil, nil, fmt.Errorf("%w: %s (merge must be invoked with the exact configuration the shards ran)",
 				journal.ErrFingerprint, dir)
 		}
 		if sh := meta.Shard; sh != nil && sh.Lease != "" {
-			if want := shardLease(fp, sh.Index, sh.Count); sh.Lease != want {
-				return nil, fmt.Errorf("campaign: %s: lease %s was not issued for shard %d/%d of this campaign",
+			if want := shardLease(campaign, sh.Index, sh.Count); sh.Lease != want {
+				return nil, nil, fmt.Errorf("campaign: %s: lease %s was not issued for shard %d/%d of this campaign",
 					dir, sh.Lease, sh.Index, sh.Count)
 			}
 		}
 		metas = append(metas, meta)
 		for _, rec := range recs {
 			if prev, dup := loaded[rec.Trace]; dup {
-				return nil, fmt.Errorf("campaign: shard journals overlap: cell %s (%s on %s) journaled twice",
+				return nil, nil, fmt.Errorf("campaign: shard journals overlap: cell %s (%s on %s) journaled twice",
 					rec.Trace, prev.Class, prev.Server)
 			}
 			loaded[rec.Trace] = rec
 		}
 	}
 	if err := journal.CheckShards(metas); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return loaded, nil
+	return metas, loaded, nil
 }
 
 // checkMergeComplete verifies every cell of the campaign is journaled,

@@ -57,18 +57,11 @@ type runnerMetrics struct {
 	planCacheRejected *obs.Counter // cache files refused (stale, corrupt, version skew)
 	planShared        *obs.Counter // plans adopted from another runner (AdoptPlan)
 
-	// Robustness outcome counters (folded deterministically).
-	robustSkipped      *obs.Counter
-	robustDetected     *obs.Counter
-	robustMasked       *obs.Counter
-	robustWrongSuccess *obs.Counter
-	robustRecovered    *obs.Counter
-
-	// Version-matrix outcome counters (folded deterministically).
-	versionSkipped    *obs.Counter
-	versionAccepted   *obs.Counter
-	versionRejected   *obs.Counter
-	versionMishandled *obs.Counter
+	// Wire-matrix outcome counters, indexed by outcome value. The
+	// wire engine's serial fold is their only writer (wire.go), so they
+	// obey the determinism contract.
+	robust   []*obs.Counter // RobustOutcome → campaign.robust.*
+	versions []*obs.Counter // VersionOutcome → campaign.versions.*
 
 	// Live gauges — outside the determinism contract.
 	workers *obs.Gauge // configured worker count
@@ -85,42 +78,37 @@ func newRunnerMetrics(reg *obs.Registry) *runnerMetrics {
 			reg.Counter("campaign.wsi.profile."+p.ID+".compliant"))
 	}
 	return &runnerMetrics{
-		reg:                reg,
-		publishSeconds:     reg.Histogram("campaign.publish.seconds"),
-		wsiSeconds:         reg.Histogram("campaign.wsi.seconds"),
-		genSeconds:         reg.Histogram("campaign.generate.seconds"),
-		compileSeconds:     reg.Histogram("campaign.compile.seconds"),
-		commSeconds:        reg.Histogram("campaign.communication.seconds"),
-		publishTotal:       reg.Counter("campaign.publish.total"),
-		publishRejected:    reg.Counter("campaign.publish.rejected"),
-		publishMemoized:    reg.Counter("campaign.publish.memoized"),
-		publishFallback:    reg.Counter("campaign.publish.fallbacks"),
-		wsiChecks:          reg.Counter("campaign.wsi.checks"),
-		wsiFlagged:         reg.Counter("campaign.wsi.flagged"),
-		wsiMemoized:        reg.Counter("campaign.wsi.memoized"),
-		profileCompliant:   profileCompliant,
-		genRuns:            reg.Counter("campaign.generate.runs"),
-		genErrors:          reg.Counter("campaign.generate.errors"),
-		compileRuns:        reg.Counter("campaign.compile.runs"),
-		compileErrors:      reg.Counter("campaign.compile.errors"),
-		testTotal:          reg.Counter("campaign.test.total"),
-		testMemoized:       reg.Counter("campaign.test.memoized"),
-		commCells:          reg.Counter("campaign.communication.cells"),
-		planBuilds:         reg.Counter("campaign.plan.builds"),
-		planCacheHits:      reg.Counter("campaign.plan.cache.hits"),
-		planCacheMisses:    reg.Counter("campaign.plan.cache.misses"),
-		planCacheRejected:  reg.Counter("campaign.plan.cache.rejected"),
-		planShared:         reg.Counter("campaign.plan.shared"),
-		robustSkipped:      reg.Counter("campaign.robust.skipped"),
-		robustDetected:     reg.Counter("campaign.robust.detected"),
-		robustMasked:       reg.Counter("campaign.robust.masked"),
-		robustWrongSuccess: reg.Counter("campaign.robust.wrong_success"),
-		robustRecovered:    reg.Counter("campaign.robust.recovered"),
-		versionSkipped:     reg.Counter("campaign.versions.skipped"),
-		versionAccepted:    reg.Counter("campaign.versions.accepted"),
-		versionRejected:    reg.Counter("campaign.versions.typed_reject"),
-		versionMishandled:  reg.Counter("campaign.versions.silent_mishandle"),
-		workers:            reg.Gauge("campaign.workers"),
+		reg:               reg,
+		publishSeconds:    reg.Histogram("campaign.publish.seconds"),
+		wsiSeconds:        reg.Histogram("campaign.wsi.seconds"),
+		genSeconds:        reg.Histogram("campaign.generate.seconds"),
+		compileSeconds:    reg.Histogram("campaign.compile.seconds"),
+		commSeconds:       reg.Histogram("campaign.communication.seconds"),
+		publishTotal:      reg.Counter("campaign.publish.total"),
+		publishRejected:   reg.Counter("campaign.publish.rejected"),
+		publishMemoized:   reg.Counter("campaign.publish.memoized"),
+		publishFallback:   reg.Counter("campaign.publish.fallbacks"),
+		wsiChecks:         reg.Counter("campaign.wsi.checks"),
+		wsiFlagged:        reg.Counter("campaign.wsi.flagged"),
+		wsiMemoized:       reg.Counter("campaign.wsi.memoized"),
+		profileCompliant:  profileCompliant,
+		genRuns:           reg.Counter("campaign.generate.runs"),
+		genErrors:         reg.Counter("campaign.generate.errors"),
+		compileRuns:       reg.Counter("campaign.compile.runs"),
+		compileErrors:     reg.Counter("campaign.compile.errors"),
+		testTotal:         reg.Counter("campaign.test.total"),
+		testMemoized:      reg.Counter("campaign.test.memoized"),
+		commCells:         reg.Counter("campaign.communication.cells"),
+		planBuilds:        reg.Counter("campaign.plan.builds"),
+		planCacheHits:     reg.Counter("campaign.plan.cache.hits"),
+		planCacheMisses:   reg.Counter("campaign.plan.cache.misses"),
+		planCacheRejected: reg.Counter("campaign.plan.cache.rejected"),
+		planShared:        reg.Counter("campaign.plan.shared"),
+		robust: outcomeCounters(reg, "campaign.robust.",
+			"skipped", "detected", "masked", "wrong_success", "recovered"),
+		versions: outcomeCounters(reg, "campaign.versions.",
+			"skipped", "accepted", "typed_reject", "silent_mishandle"),
+		workers: reg.Gauge("campaign.workers"),
 	}
 }
 
@@ -176,43 +164,13 @@ func (m *runnerMetrics) recordCompile(start time.Time, errored bool) {
 	}
 }
 
-// recordVersion folds one version-matrix cell outcome. Like
-// recordRobust it is called only from the deterministic per-server
-// fold (and resume replay), keeping the counters inside the
-// determinism contract.
-func (m *runnerMetrics) recordVersion(o VersionOutcome) {
-	if m == nil {
-		return
+// outcomeCounters resolves one wire mode's outcome counters, indexed
+// by outcome value: names[i] counts outcome i+1 (every outcome enum
+// starts at 1), and index 0 stays nil.
+func outcomeCounters(reg *obs.Registry, prefix string, names ...string) []*obs.Counter {
+	counters := make([]*obs.Counter, len(names)+1)
+	for i, name := range names {
+		counters[i+1] = reg.Counter(prefix + name)
 	}
-	switch o {
-	case VersionSkipped:
-		m.versionSkipped.Inc()
-	case VersionAccepted:
-		m.versionAccepted.Inc()
-	case VersionTypedReject:
-		m.versionRejected.Inc()
-	case VersionMishandled:
-		m.versionMishandled.Inc()
-	}
-}
-
-// recordRobust folds one robustness cell outcome. Called from the
-// deterministic per-server fold, never from workers, so the counters
-// stay inside the determinism contract.
-func (m *runnerMetrics) recordRobust(o RobustOutcome) {
-	if m == nil {
-		return
-	}
-	switch o {
-	case RobustSkipped:
-		m.robustSkipped.Inc()
-	case RobustDetected:
-		m.robustDetected.Inc()
-	case RobustMasked:
-		m.robustMasked.Inc()
-	case RobustWrongSuccess:
-		m.robustWrongSuccess.Inc()
-	case RobustRecovered:
-		m.robustRecovered.Inc()
-	}
+	return counters
 }

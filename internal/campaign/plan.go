@@ -43,7 +43,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"wsinterop/internal/framework"
 	"wsinterop/internal/journal"
@@ -330,10 +329,7 @@ func (r *Runner) buildServerPlan(server string, defs []services.Definition) *ser
 // hot path, once per class per run.
 func (r *Runner) classTraitsFor(defs []services.Definition) []classTraits {
 	traits := make([]classTraits, len(defs))
-	workers := r.workers()
-	if workers > len(defs) {
-		workers = len(defs)
-	}
+	workers := min(r.workers(), len(defs))
 	if workers <= 1 {
 		for i := range defs {
 			fillTraits(&traits[i], defs[i])
@@ -341,25 +337,11 @@ func (r *Runner) classTraitsFor(defs []services.Definition) []classTraits {
 		return traits
 	}
 	chunk := (len(defs) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(defs) {
-			hi = len(defs)
+	dispatch(context.Background(), workers, workers, func(_, w int) {
+		for i := w * chunk; i < min((w+1)*chunk, len(defs)); i++ {
+			fillTraits(&traits[i], defs[i])
 		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fillTraits(&traits[i], defs[i])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 	return traits
 }
 

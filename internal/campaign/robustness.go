@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"wsinterop/internal/faultinject"
@@ -24,6 +23,9 @@ import (
 // clean combinations complete the round trip, this one proves the
 // client surfaces (or recovers from) every failure the wire can
 // signal, and that no wire-signaled failure is reported as success.
+// It is a descriptor on the wire-matrix engine (wire.go), which makes
+// it deterministic at any worker count and journals, resumes and
+// merges it under <checkpoint>/faults.
 
 // RobustOutcome classifies one (service × client × fault) cell.
 type RobustOutcome int
@@ -67,6 +69,9 @@ func (o RobustOutcome) String() string {
 		return fmt.Sprintf("RobustOutcome(%d)", int(o))
 	}
 }
+
+// robustOutcomes lists every robustness outcome, for journal decoding.
+var robustOutcomes = []RobustOutcome{RobustSkipped, RobustDetected, RobustMasked, RobustWrongSuccess, RobustRecovered}
 
 // RobustCounts aggregates cells of one matrix slice.
 type RobustCounts struct {
@@ -164,8 +169,8 @@ func robustRetryPolicy(directive string, attempts *int) *transport.RetryPolicy {
 	}
 }
 
-// robustExchange is one completed faulted invocation, bundled for
-// classification.
+// robustExchange is one completed echo invocation of either wire
+// mode, bundled for classification.
 type robustExchange struct {
 	resp       *soap.Message
 	wantLocal  string
@@ -173,19 +178,23 @@ type robustExchange struct {
 	probeField string
 }
 
-// validShape applies the client-side deserialization check a generated
-// proxy performs against the WSDL-declared response message: correct
-// wrapper name and exactly the expected echo fields.
-func (x *robustExchange) validShape() bool {
+// check applies the client-side checks both wire taxonomies build on:
+// shaped is the deserialization check a generated proxy performs
+// against the WSDL-declared response message (correct wrapper name and
+// exactly the expected echo fields), echoed that the probe value came
+// back intact.
+func (x *robustExchange) check() (shaped, echoed bool) {
+	echo, _ := x.resp.Field(x.probeField)
+	echoed = echo == x.sent[x.probeField]
 	if x.resp.Local != x.wantLocal || len(x.resp.Fields) != len(x.sent) {
-		return false
+		return false, echoed
 	}
 	for name := range x.sent {
 		if _, ok := x.resp.Fields[name]; !ok {
-			return false
+			return false, echoed
 		}
 	}
-	return true
+	return true, echoed
 }
 
 // classifyRobust maps one exchange outcome into the taxonomy. Order
@@ -199,141 +208,87 @@ func classifyRobust(f faultinject.Fault, attempts int, x *robustExchange, err er
 	if err != nil {
 		return RobustDetected
 	}
-	if !x.validShape() {
+	shaped, echoed := x.check()
+	if !shaped {
 		return RobustDetected
 	}
 	if attempts > 1 {
 		return RobustRecovered
 	}
-	if f.MustError {
-		return RobustWrongSuccess
-	}
-	if echoed, _ := x.resp.Field(x.probeField); echoed != x.sent[x.probeField] {
+	if f.MustError || !echoed {
 		return RobustWrongSuccess
 	}
 	return RobustMasked
 }
 
 // RunRobustness executes the Robustness mode across every configured
-// server framework. The outcome matrix is deterministic: cells land in
-// pre-indexed slots and fold in fixed (server, service, client, fault)
-// order, so worker count and scheduling never change the result.
+// server framework. The matrix is deterministic at any worker count,
+// journals per completed service cell when a checkpoint is configured,
+// and resumes into an identical result.
 func (r *Runner) RunRobustness(ctx context.Context) (*RobustResult, error) {
-	catalog := faultinject.Catalog()
-	res := &RobustResult{
-		Servers: make(map[string]map[string]*RobustCounts, len(r.servers)),
-		Clients: make(map[string]*RobustCounts, len(r.clients)),
-	}
-	for _, f := range catalog {
-		res.Faults = append(res.Faults, f.Name)
-	}
-	for _, c := range r.clients {
-		res.Clients[c.Name()] = &RobustCounts{}
-		res.ClientOrder = append(res.ClientOrder, c.Name())
-	}
-	for _, server := range r.servers {
-		if err := r.runRobustnessServer(ctx, server, catalog, res); err != nil {
-			return nil, fmt.Errorf("robustness on %s: %w", server.Name(), err)
-		}
-	}
-	return res, nil
+	return r.robustness(ctx, false, nil)
 }
 
-func (r *Runner) runRobustnessServer(ctx context.Context, server framework.ServerFramework,
-	catalog []faultinject.Fault, res *RobustResult) error {
-	published, _, err := r.Publish(ctx, server)
-	if err != nil {
-		return err
+// MergeRobustness folds completed shard fault journals (the
+// <checkpoint>/faults stores) into one RobustResult identical to a
+// single-process run of the same configuration, on the terms of
+// MergeVersions: every shard must have completed every server stage,
+// and the coordinator injects no fault — every cell replays.
+func (r *Runner) MergeRobustness(ctx context.Context, dirs []string) (*RobustResult, error) {
+	return r.robustness(ctx, true, dirs)
+}
+
+// robustness runs or merges the fault matrix on the wire engine.
+func (r *Runner) robustness(ctx context.Context, merge bool, dirs []string) (*RobustResult, error) {
+	catalog := r.faults
+	if catalog == nil {
+		catalog = faultinject.Catalog()
 	}
-
-	host := transport.NewHost()
-	endpoints, collisions, err := r.deployPublished(host, published)
-	if err != nil {
-		return err
+	m := &wireMode[RobustOutcome]{
+		name:     "faults",
+		outcomes: robustOutcomes,
+		skipped:  RobustSkipped,
+		counters: r.met.robust,
 	}
-	res.PathCollisions += collisions
-
-	injector := faultinject.New(host)
-	// Keep the matrix wall-clock-free: the delay fault is classified by
-	// what the client does with a slow-but-valid response, not by
-	// actually stalling thousands of cells.
-	injector.Sleep = func(time.Duration) {}
-	injector.Obs = r.obs
-
-	nc, nf := len(r.clients), len(catalog)
-	outcomes := make([]RobustOutcome, len(published)*nc*nf)
-
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < r.workers(); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				si, ci := idx/nc, idx%nc
-				r.robustCombination(ctx, injector, r.clients[ci], &published[si],
-					endpoints[published[si].Class], catalog, outcomes[idx*nf:(idx+1)*nf])
+	for _, f := range catalog {
+		m.columns = append(m.columns, f.Name)
+	}
+	m.stage = func(_ string, host *transport.Host) wireExchange[RobustOutcome] {
+		injector := faultinject.New(host)
+		// Keep the matrix wall-clock-free: the delay fault is classified by
+		// what the client does with a slow-but-valid response, not by
+		// actually stalling thousands of cells.
+		injector.Sleep = func(time.Duration) {}
+		injector.Obs = r.obs
+		return func(ctx context.Context, client framework.ClientFramework, svc *PublishedService,
+			ep *transport.Endpoint, op string, col int) RobustOutcome {
+			f := catalog[col]
+			req, probeField := buildEchoRequest(ep, op, svc.Class)
+			// The cell's trace carries (server, class, client, fault), so the
+			// injector's fired-fault log joins back to exactly one matrix cell.
+			trace := obs.TraceID(svc.Server, svc.Class, client.Name(), f.Name)
+			attempts := 0
+			bridge := transport.NewLocalBridge(injector).
+				WithRetry(robustRetryPolicy(f.Directive, &attempts)).
+				WithObs(r.obs)
+			resp, err := bridge.Invoke(obs.WithTrace(ctx, trace), ep.Path, req)
+			var x *robustExchange
+			if err == nil {
+				x = &robustExchange{resp: resp, wantLocal: op + "Response", sent: req.Fields, probeField: probeField}
 			}
-		}()
-	}
-feed:
-	for idx := 0; idx < len(published)*nc; idx++ {
-		select {
-		case <-ctx.Done():
-			break feed
-		case jobs <- idx:
+			return classifyRobust(f, attempts, x, err)
 		}
 	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
+	mat, err := runWire[RobustOutcome, RobustCounts](ctx, r, m, merge, dirs)
+	if err != nil {
+		return nil, err
 	}
-
-	perFault := make(map[string]*RobustCounts, nf)
-	for _, f := range catalog {
-		perFault[f.Name] = &RobustCounts{}
-	}
-	for idx, o := range outcomes {
-		perFault[catalog[idx%nf].Name].Add(o)
-		res.Clients[r.clients[(idx/nf)%nc].Name()].Add(o)
-		// Counters fold here, in the fixed-order merge, not in workers:
-		// the robustness metrics stay inside the determinism contract.
-		r.met.recordRobust(o)
-	}
-	res.Servers[server.Name()] = perFault
-	res.ServerOrder = append(res.ServerOrder, server.Name())
-	return nil
-}
-
-// robustCombination runs steps 2–3 once for the (service × client)
-// pair, then exchanges one faulted invocation per catalog entry,
-// writing outcomes into the cell slots.
-func (r *Runner) robustCombination(ctx context.Context, handler http.Handler,
-	client framework.ClientFramework, svc *PublishedService, ep *transport.Endpoint,
-	catalog []faultinject.Fault, cells []RobustOutcome) {
-	op, ok := invocable(client, svc, ep, r.cfg.Reference)
-	if !ok || op == "" {
-		for i := range cells {
-			cells[i] = RobustSkipped
-		}
-		return
-	}
-
-	for fi, f := range catalog {
-		req, probeField := buildEchoRequest(ep, op, svc.Class)
-		// The cell's trace carries (server, class, client, fault), so the
-		// injector's fired-fault log joins back to exactly one matrix cell.
-		trace := obs.TraceID(svc.Server, svc.Class, client.Name(), f.Name)
-		attempts := 0
-		bridge := transport.NewLocalBridge(handler).
-			WithRetry(robustRetryPolicy(f.Directive, &attempts)).
-			WithObs(r.obs)
-		resp, err := bridge.Invoke(obs.WithTrace(ctx, trace), ep.Path, req)
-		var x *robustExchange
-		if err == nil {
-			x = &robustExchange{resp: resp, wantLocal: op + "Response", sent: req.Fields, probeField: probeField}
-		}
-		cells[fi] = classifyRobust(f, attempts, x, err)
-	}
+	return &RobustResult{
+		Faults:         m.columns,
+		Servers:        mat.servers,
+		ServerOrder:    mat.serverOrder,
+		Clients:        mat.clients,
+		ClientOrder:    mat.clientOrder,
+		PathCollisions: mat.collisions,
+	}, nil
 }

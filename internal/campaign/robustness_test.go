@@ -127,10 +127,16 @@ func TestRobustnessCancellation(t *testing.T) {
 	}
 }
 
+// TestRobustOutcomeString: the String form is the journal encoding,
+// so it must be friendly and parse back exactly.
 func TestRobustOutcomeString(t *testing.T) {
-	for _, o := range []RobustOutcome{RobustSkipped, RobustDetected, RobustMasked, RobustWrongSuccess, RobustRecovered} {
-		if s := o.String(); s == "" || s[0] == 'R' {
+	for _, o := range robustOutcomes {
+		s := o.String()
+		if s == "" || s[0] == 'R' {
 			t.Errorf("outcome %d has no friendly name: %q", o, s)
+		}
+		if back, err := parseOutcome(robustOutcomes, s); err != nil || back != o {
+			t.Errorf("parse(%q) = %v, %v; want %v", s, back, err, o)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package campaign
 import (
 	"context"
 	"encoding/json"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -140,122 +139,6 @@ func TestVersionMatrixEquivalence(t *testing.T) {
 	}
 }
 
-// TestVersionsResume is the kill-point matrix for the versions
-// journal: interrupt at several append counts, resume, and require
-// the byte-identical matrix of a clean run.
-func TestVersionsResume(t *testing.T) {
-	limit := robustLimit(40)
-	clean := runVersions(t, Config{Limit: limit, Workers: 4})
-	cleanBytes := versionBytes(t, clean)
-
-	for _, killAt := range []int{1, 5, -1} {
-		dir := t.TempDir()
-		ctx, cancel := context.WithCancel(context.Background())
-		cfg := Config{Limit: limit, Workers: 4, Checkpoint: dir}
-		if killAt > 0 {
-			cfg.checkpointProbe = func(appended int) {
-				if appended == killAt {
-					cancel()
-				}
-			}
-		}
-		_, err := NewRunner(cfg).RunVersions(ctx)
-		cancel()
-		if killAt < 0 && err != nil {
-			t.Fatalf("uninterrupted checkpointed run: %v", err)
-		}
-		// A cancellation racing the end of the run may still complete;
-		// either way the journal resumes below.
-
-		resumed, rerr := NewRunner(Config{Limit: limit, Workers: 4, Checkpoint: dir, Resume: true}).
-			RunVersions(context.Background())
-		if rerr != nil {
-			t.Fatalf("resume (killAt=%d): %v", killAt, rerr)
-		}
-		if got := versionBytes(t, resumed); string(got) != string(cleanBytes) {
-			t.Errorf("resumed matrix (killAt=%d) differs from clean run", killAt)
-		}
-	}
-}
-
-// TestVersionsResumeRefusesDrift: a versions journal written under a
-// different configuration (here: strictness-bearing fingerprint with
-// another limit) is refused, not silently merged.
-func TestVersionsResumeRefusesDrift(t *testing.T) {
-	dir := t.TempDir()
-	limit := 4
-	if _, err := NewRunner(Config{Limit: limit, Workers: 2, Checkpoint: dir}).
-		RunVersions(context.Background()); err != nil {
-		t.Fatalf("seed run: %v", err)
-	}
-	_, err := NewRunner(Config{Limit: limit + 1, Workers: 2, Checkpoint: dir, Resume: true}).
-		RunVersions(context.Background())
-	if err == nil || !strings.Contains(err.Error(), "different campaign configuration") {
-		t.Errorf("drifted resume error = %v, want fingerprint refusal", err)
-	}
-}
-
-// TestVersionsShardMerge: two shard workers journal their slices, the
-// coordinator merges, and the merged matrix equals a single-process
-// run. PathCollisions is deploy-set-dependent bookkeeping (documented
-// on MergeVersions) and is normalized out of the comparison.
-func TestVersionsShardMerge(t *testing.T) {
-	limit := robustLimit(37)
-	const n = 2
-	base := t.TempDir()
-	dirs := make([]string, n)
-	for i := 0; i < n; i++ {
-		dirs[i] = filepath.Join(base, "shard", string(rune('a'+i)))
-		cfg := Config{Limit: limit, Workers: 2, Checkpoint: dirs[i],
-			Shard: ShardSpec{Index: i, Count: n}}
-		if _, err := NewRunner(cfg).RunVersions(context.Background()); err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-	}
-	merged, err := MergeVersions(context.Background(), dirs, WithLimit(limit))
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	full := runVersions(t, Config{Limit: limit, Workers: 4})
-	merged.PathCollisions, full.PathCollisions = 0, 0
-	if got, want := versionBytes(t, merged), versionBytes(t, full); string(got) != string(want) {
-		t.Errorf("merged matrix differs from single-process run:\nmerged: %s\nfull:   %s", got, want)
-	}
-
-	// Merge guards: a drifted configuration is refused by fingerprint,
-	// and a coordinator cannot itself be sharded.
-	if _, err := MergeVersions(context.Background(), dirs, WithLimit(limit+1)); err == nil {
-		t.Error("drifted merge configuration not refused")
-	}
-	if _, err := MergeVersions(context.Background(), dirs, WithLimit(limit),
-		WithShard(0, n)); err == nil {
-		t.Error("sharded coordinator not refused")
-	}
-}
-
-// TestVersionsMergeRefusesIncomplete: a shard journal without its
-// completion sentinels cannot be merged.
-func TestVersionsMergeRefusesIncomplete(t *testing.T) {
-	dir := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg := Config{Limit: 6, Workers: 2, Checkpoint: dir}
-	cfg.checkpointProbe = func(appended int) {
-		if appended == 1 {
-			cancel()
-		}
-	}
-	if _, err := NewRunner(cfg).RunVersions(ctx); err == nil {
-		// The tiny run may outrace the cancel; only an actually
-		// interrupted journal exercises the guard.
-		t.Skip("run completed before the kill point")
-	}
-	_, err := MergeVersions(context.Background(), []string{dir}, WithLimit(6))
-	if err == nil || !strings.Contains(err.Error(), "resume the shard") {
-		t.Errorf("incomplete merge error = %v, want completion refusal", err)
-	}
-}
-
 // TestVersionsObservability: the serial fold lands the matrix in the
 // campaign.versions.* counters exactly.
 func TestVersionsObservability(t *testing.T) {
@@ -288,17 +171,17 @@ func TestVersionsCancellation(t *testing.T) {
 // TestVersionOutcomeRoundTrip: the String form is the journal
 // encoding, so it must parse back exactly.
 func TestVersionOutcomeRoundTrip(t *testing.T) {
-	for _, o := range []VersionOutcome{VersionSkipped, VersionAccepted, VersionTypedReject, VersionMishandled} {
+	for _, o := range versionOutcomes {
 		s := o.String()
 		if s == "" || strings.HasPrefix(s, "Version") {
 			t.Errorf("outcome %d has no friendly name: %q", o, s)
 		}
-		back, err := parseVersionOutcome(s)
+		back, err := parseOutcome(versionOutcomes, s)
 		if err != nil || back != o {
 			t.Errorf("parse(%q) = %v, %v; want %v", s, back, err, o)
 		}
 	}
-	if _, err := parseVersionOutcome("bogus"); err == nil {
+	if _, err := parseOutcome(versionOutcomes, "bogus"); err == nil {
 		t.Error("bogus outcome parsed")
 	}
 }

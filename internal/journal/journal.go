@@ -127,10 +127,11 @@ type TestRecord struct {
 	CompileError   bool   `json:"compileE,omitempty"`
 }
 
-// VersionRecord is one client framework's classified outcomes across
-// the version-scenario catalog within a version-matrix cell, in the
-// fixed scenario order the campaign fingerprint pins.
-type VersionRecord struct {
+// OutcomeRow is one client framework's classified outcomes within a
+// wire-matrix cell (`interop -versions`, `interop -faults`): one
+// outcome per column of the mode's catalog, in the fixed column order
+// the store fingerprint pins.
+type OutcomeRow struct {
 	Client   string   `json:"client"`
 	Outcomes []string `json:"outcomes"`
 }
@@ -160,12 +161,10 @@ type Record struct {
 	Profiles []string     `json:"profiles,omitempty"`
 	Doc      []byte       `json:"doc,omitempty"`
 	Tests    []TestRecord `json:"tests,omitempty"`
-	// Versions holds the version-matrix outcomes of the cell's clients
-	// (`interop -versions`); nil for static-campaign records.
-	Versions []VersionRecord `json:"versions,omitempty"`
-	// Collisions preserves a server stage's deploy path-collision count
-	// on a versions-mode completion sentinel; zero everywhere else.
-	Collisions int `json:"collisions,omitempty"`
+	// Rows holds a wire-matrix cell's outcomes, one row per client in
+	// roster order; nil for static-campaign records. The JSON name
+	// predates the fault matrix sharing the record shape.
+	Rows []OutcomeRow `json:"versions,omitempty"`
 }
 
 // Journal is an open checkpoint store. Append must be serialized by

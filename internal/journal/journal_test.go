@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -562,4 +563,60 @@ func TestCheckShards(t *testing.T) {
 			t.Errorf("%s: CheckShards = %v, want ok=%v", c.name, err, c.ok)
 		}
 	}
+}
+
+// FuzzJournalLoad feeds arbitrary meta, snapshot and journal bytes to
+// Load. Load must never panic, and a store it accepts must round-trip:
+// a resume Open of the same store (which also truncates a torn tail)
+// sees exactly the records Load returned, and a Load after that Open
+// sees them again.
+func FuzzJournalLoad(f *testing.F) {
+	line := func(recs ...Record) []byte {
+		var b []byte
+		for _, rec := range recs {
+			data, err := json.Marshal(rec)
+			if err != nil {
+				f.Fatal(err)
+			}
+			b = append(append(b, data...), '\n')
+		}
+		return b
+	}
+	meta, err := json.Marshal(Meta{Version: Version, Fingerprint: "fp-test", Shard: &ShardMeta{Index: 1, Count: 2, Lease: "l"}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	snapshot := line(record(0), record(1))
+	journal := line(record(2), record(1), Record{Trace: "w", Mode: "versions",
+		Rows: []OutcomeRow{{Client: "c1", Outcomes: []string{"accept", "typed-reject"}}}})
+	f.Add(meta, snapshot, journal)                                       // valid snapshot + journal pair
+	f.Add(meta, snapshot, append(journal, `{"trace":"torn","ser`...))    // torn final line
+	f.Add(meta, snapshot, append(line(record(3))[:20], journal...))      // torn middle line
+	f.Add([]byte(`{"version":1,"fingerprint":`), snapshot, journal)      // bad meta.json
+	f.Add([]byte(`{"version":7,"fingerprint":"x"}`), []byte{}, []byte{}) // foreign schema
+	f.Fuzz(func(t *testing.T, meta, snapshot, journal []byte) {
+		dir := t.TempDir()
+		for name, content := range map[string][]byte{metaFile: meta, snapshotFile: snapshot, journalFile: journal} {
+			if err := os.WriteFile(filepath.Join(dir, name), content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, recs, err := Load(dir)
+		if err != nil {
+			return
+		}
+		j, err := Open(dir, *m, true)
+		if err != nil {
+			t.Fatalf("Load accepted the store but a resume Open refused it: %v", err)
+		}
+		if got := j.Records(); !reflect.DeepEqual(got, recs) {
+			t.Errorf("Open sees %d records, Load saw %d:\nopen %+v\nload %+v", len(got), len(recs), got, recs)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatalf("close: %v", err)
+		}
+		if _, again, err := Load(dir); err != nil || !reflect.DeepEqual(again, recs) {
+			t.Errorf("reload after Open: err = %v, %d records, want %d", err, len(again), len(recs))
+		}
+	})
 }
